@@ -14,7 +14,6 @@ from .gaussian import (
     StateError,
     photon_covariance,
     photon_mean,
-    photon_stats,
     photon_variance,
     difference_stats,
     thermal,
@@ -28,11 +27,9 @@ from .protocol import (
     split_thermal,
     tmsv,
     willie_brightnesses,
-    willie_marginal,
 )
 from .receivers import (
     CalibrationError,
-    EstimatorSample,
     ReceiverStats,
     cosine_estimator,
     hr_stats,
@@ -62,9 +59,7 @@ from .metrology import (
 from .montecarlo import (
     CltGuardError,
     EstimationResult,
-    PointFailure,
     simulate,
-    sweep,
 )
 
 __all__ = [
@@ -74,7 +69,6 @@ __all__ = [
     "StateError",
     "photon_covariance",
     "photon_mean",
-    "photon_stats",
     "photon_variance",
     "difference_stats",
     "thermal",
@@ -86,9 +80,7 @@ __all__ = [
     "split_thermal",
     "tmsv",
     "willie_brightnesses",
-    "willie_marginal",
     "CalibrationError",
-    "EstimatorSample",
     "ReceiverStats",
     "cosine_estimator",
     "hr_stats",
@@ -112,7 +104,5 @@ __all__ = [
     "receiver_fisher",
     "CltGuardError",
     "EstimationResult",
-    "PointFailure",
     "simulate",
-    "sweep",
 ]

@@ -17,7 +17,7 @@ from typing import Sequence
 from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import nbinom, norm
 
-from .protocol import SensingScenario, ProtocolVariant, willie_brightnesses
+from .protocol import SensingScenario, willie_brightnesses
 
 EXACT_COUNT_LIMIT = 1e6  # expected total counts above which we switch to CLT
 NS_SOLVER_CAP = 10.0
@@ -41,7 +41,6 @@ class CovertnessReport:
     pe_lower_fidelity: float
     pe_exact: float
     method: str
-    rel_entropy_per_mode: float
 
     def csv_row(self) -> dict:
         return {
@@ -99,12 +98,10 @@ def thermal_rel_entropy(n_a: float, n_b: float) -> float:
     return max(val, 0.0)
 
 
-def epsilon_of(scenario: SensingScenario, variant: ProtocolVariant | None = None) -> float:
+def epsilon_of(scenario: SensingScenario) -> float:
     """Covertness parameter via the relative-entropy/Pinsker route.
 
-    The variant is accepted for interface symmetry; Willie's marginals are
-    identical across variants by construction."""
-    del variant
+    Willie's brightnesses are the same for every probe variant."""
     n0, n1 = willie_brightnesses(scenario)
     if n1 == n0:
         return 0.0
@@ -248,23 +245,17 @@ def sqrt_law_schedule(
     return out
 
 
-def covertness_report(
-    scenario: SensingScenario,
-    variant: ProtocolVariant | None = None,
-    window_count: int = 1,
-) -> CovertnessReport:
+def covertness_report(scenario: SensingScenario, window_count: int = 1) -> CovertnessReport:
     """Full adversary-side summary for one scenario point."""
     n0, n1 = willie_brightnesses(scenario)
     m = scenario.M
     test = pe_optimal_counting(n0, n1, m, window_count)
-    rel = thermal_rel_entropy(n1, n0) if n1 > 0 or n0 == 0 else math.inf
     return CovertnessReport(
         n0=n0,
         n1=n1,
         M=m,
-        epsilon=epsilon_of(scenario, variant),
+        epsilon=epsilon_of(scenario),
         pe_lower_fidelity=pe_lower_bound(n0, n1, m),
         pe_exact=test.pe,
         method=test.method,
-        rel_entropy_per_mode=rel,
     )

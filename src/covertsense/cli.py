@@ -8,7 +8,6 @@ per-command defaults.  Unknown keys are rejected up front; identical
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -139,36 +138,23 @@ def _variants_of(config: dict) -> list[ProtocolVariant]:
 
 
 def _run_points(
-    points: list[tuple[str, Callable[[], dict]]], jobs: int
-) -> tuple[list[dict | None], list[tuple[str, str]]]:
-    """Evaluate labelled point thunks, optionally in parallel; output order
-    follows input order regardless of scheduling."""
-    rows: list[dict | None] = [None] * len(points)
+    points: list[tuple[str, Callable[[], dict]]]
+) -> tuple[list[dict], list[tuple[str, str]]]:
+    """Evaluate labelled point thunks in order; a point that raises is
+    recorded as a failure and the rest still run."""
+    rows: list[dict] = []
     failures: list[tuple[str, str]] = []
-
-    def run_one(i: int):
-        label, thunk = points[i]
+    for label, thunk in points:
         try:
-            return i, thunk(), None
+            rows.append(thunk())
         except Exception as exc:  # noqa: BLE001 - enumerate, don't abort the sweep
-            return i, None, f"{label}: {exc}"
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, range(len(points))))
-    else:
-        results = [run_one(i) for i in range(len(points))]
-    for i, row, err in results:
-        if err is not None:
-            failures.append((points[i][0], err))
-        rows[i] = row
+            failures.append((label, str(exc)))
     return rows, failures
 
 
 def _write_output(
     command: str, config: dict, rows: list[dict], out: str, fmt: str
 ) -> None:
-    kept = [r for r in rows if r is not None]
     with click.open_file(out, "w") as fh:
         if fmt == "json":
             json.dump(
@@ -177,7 +163,7 @@ def _write_output(
                     "version": __version__,
                     "command": command,
                     "config": config,
-                    "rows": kept,
+                    "rows": rows,
                 },
                 fh,
                 sort_keys=True,
@@ -188,14 +174,17 @@ def _write_output(
         fh.write(f"# covertsense {__version__} {command}\n")
         fh.write(f"# seed: {config['seed']}\n")
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        if not kept:
+        if not rows:
             return
-        writer = csv.DictWriter(fh, fieldnames=list(kept[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        writer.writerows(kept)
+        writer.writerows(rows)
 
 
-def _finish(command, config, rows, failures, out, fmt) -> None:
+def _finish(command: str, config: dict, points: list, out: str, fmt: str) -> None:
+    """Run the points, write the rows that succeeded, report the rest on
+    stderr and exit 1 if any point failed."""
+    rows, failures = _run_points(points)
     _write_output(command, config, rows, out, fmt)
     if failures:
         for label, err in failures:
@@ -204,7 +193,7 @@ def _finish(command, config, rows, failures, out, fmt) -> None:
 
 
 def _mc_row(config: dict, scenario: SensingScenario, variant: ProtocolVariant,
-            point_index: int, extra: dict | None = None) -> dict:
+            point_index: int, extra: dict) -> dict:
     res = simulate(
         scenario,
         variant,
@@ -213,7 +202,7 @@ def _mc_row(config: dict, scenario: SensingScenario, variant: ProtocolVariant,
         point_index=point_index,
         compute_qcrb=config["compute_qcrb"],
     )
-    row = dict(extra or {})
+    row = dict(extra)
     row.update(res.csv_row())
     row["rms_cos"] = math.sqrt(res.mse_cos)
     row["rms_theta"] = res.rms_theta
@@ -221,12 +210,26 @@ def _mc_row(config: dict, scenario: SensingScenario, variant: ProtocolVariant,
     return row
 
 
+def _mc_points(
+    config: dict, cases: list[tuple[str, SensingScenario, dict]]
+) -> list[tuple[str, Callable[[], dict]]]:
+    """One Monte Carlo point per (case, variant), in that order.  A point's
+    position is its point index, which keys its RNG stream."""
+    points = []
+    variants = _variants_of(config)
+    for label, sc, extra in cases:
+        for variant in variants:
+            i = len(points)
+            points.append((f"{label} variant={variant.value}",
+                           lambda sc=sc, v=variant, i=i, e=extra: _mc_row(config, sc, v, i, e)))
+    return points
+
+
 _common_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="YAML config file."),
     click.option("--set", "sets", multiple=True, metavar="KEY=VAL", help="Override a config key (repeatable, dotted paths)."),
     click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="RNG seed."),
     click.option("--shots", type=click.IntRange(2), default=None, help="Monte Carlo shots per point."),
-    click.option("--jobs", type=click.IntRange(1), default=1, show_default=True, help="Parallel workers over grid points."),
     click.option("--out", default="-", show_default=True, help="Output path ('-' for stdout)."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
 ]
@@ -246,34 +249,22 @@ def main() -> None:
 
 @main.command()
 @_with_common
-def fig3(config_path, sets, seed, shots, jobs, out, fmt) -> None:
+def fig3(config_path, sets, seed, shots, out, fmt) -> None:
     """Phase estimation vs theta for both protocol variants."""
     config = _resolve_config("fig3", config_path, sets, seed, shots)
-    variants = _variants_of(config)
-    points = []
-    idx = 0
-    for theta in config["theta_grid"]:
-        for variant in variants:
-            sc = _scenario_of(config, theta=float(theta))
-            points.append(
-                (
-                    f"theta={theta:g} variant={variant.value}",
-                    (lambda sc=sc, v=variant, i=idx: _mc_row(config, sc, v, i)),
-                )
-            )
-            idx += 1
-    rows, failures = _run_points(points, jobs)
-    _finish("fig3", config, rows, failures, out, fmt)
+    cases = [
+        (f"theta={theta:g}", _scenario_of(config, theta=float(theta)), {})
+        for theta in config["theta_grid"]
+    ]
+    _finish("fig3", config, _mc_points(config, cases), out, fmt)
 
 
 @main.command()
 @_with_common
-def fig4(config_path, sets, seed, shots, jobs, out, fmt) -> None:
+def fig4(config_path, sets, seed, shots, out, fmt) -> None:
     """MSE vs background brightness in fixed-covertness and fixed-power regimes."""
     config = _resolve_config("fig4", config_path, sets, seed, shots)
-    variants = _variants_of(config)
-    points = []
-    idx = 0
+    cases = []
     for regime in config["regimes"]:
         if regime not in ("fixed_covertness", "fixed_power"):
             raise ConfigError(f"unknown regime {regime!r}")
@@ -286,31 +277,21 @@ def fig4(config_path, sets, seed, shots, jobs, out, fmt) -> None:
             sc = base.with_(N_S=float(n_s))
             rep = covertness_report(sc)
             extra = {"regime": regime, "epsilon": rep.epsilon, "pe_exact": rep.pe_exact}
-            for variant in variants:
-                points.append(
-                    (
-                        f"regime={regime} N_B={n_b:g} variant={variant.value}",
-                        (lambda sc=sc, v=variant, i=idx, e=dict(extra): _mc_row(config, sc, v, i, e)),
-                    )
-                )
-                idx += 1
-    rows, failures = _run_points(points, jobs)
-    _finish("fig4", config, rows, failures, out, fmt)
+            cases.append((f"regime={regime} N_B={n_b:g}", sc, extra))
+    _finish("fig4", config, _mc_points(config, cases), out, fmt)
 
 
 @main.command()
 @_with_common
-def fig5(config_path, sets, seed, shots, jobs, out, fmt) -> None:
+def fig5(config_path, sets, seed, shots, out, fmt) -> None:
     """Square-root-law test: adversary error probability and MSE vs time."""
     config = _resolve_config("fig5", config_path, sets, seed, shots)
-    variants = _variants_of(config)
     base = _scenario_of(config)
     t_grid = [float(t) for t in config["t_grid"]]
     obey = sqrt_law_schedule(config["sqrt_law_constant"], t_grid, base)
     violate_ns = config["violate_ratio"] * base.N_B / base.kappa
     violate = [base.with_(T=t, N_S=violate_ns) for t in t_grid]
-    points = []
-    idx = 0
+    cases = []
     for schedule, scenarios in (("obey", obey), ("violate", violate)):
         for sc in scenarios:
             rep = covertness_report(sc)
@@ -322,16 +303,8 @@ def fig5(config_path, sets, seed, shots, jobs, out, fmt) -> None:
                 "pe_exact": rep.pe_exact,
                 "method": rep.method,
             }
-            for variant in variants:
-                points.append(
-                    (
-                        f"schedule={schedule} T={sc.T:g} variant={variant.value}",
-                        (lambda sc=sc, v=variant, i=idx, e=dict(extra): _mc_row(config, sc, v, i, e)),
-                    )
-                )
-                idx += 1
-    rows, failures = _run_points(points, jobs)
-    _finish("fig5", config, rows, failures, out, fmt)
+            cases.append((f"schedule={schedule} T={sc.T:g}", sc, extra))
+    _finish("fig5", config, _mc_points(config, cases), out, fmt)
 
 
 def _grid_scenarios(config: dict) -> list[tuple[str, SensingScenario]]:
@@ -362,7 +335,7 @@ def _grid_scenarios(config: dict) -> list[tuple[str, SensingScenario]]:
 
 @main.command()
 @_with_common
-def qcrb(config_path, sets, seed, shots, jobs, out, fmt) -> None:
+def qcrb(config_path, sets, seed, shots, out, fmt) -> None:
     """Quantum Fisher information and Cramer-Rao bound over a scenario grid."""
     config = _resolve_config("qcrb", config_path, sets, seed, shots)
     variants = _variants_of(config)
@@ -382,44 +355,31 @@ def qcrb(config_path, sets, seed, shots, jobs, out, fmt) -> None:
                     "richardson_error": res.richardson_error,
                 }
             points.append((f"{label} variant={variant.value}", thunk))
-    rows, failures = _run_points(points, jobs)
-    _finish("qcrb", config, rows, failures, out, fmt)
+    _finish("qcrb", config, points, out, fmt)
 
 
 @main.command()
 @_with_common
-def covertness(config_path, sets, seed, shots, jobs, out, fmt) -> None:
+def covertness(config_path, sets, seed, shots, out, fmt) -> None:
     """Adversary detection bounds over a scenario grid."""
     config = _resolve_config("covertness", config_path, sets, seed, shots)
     points = [
         (label, (lambda sc=sc: covertness_report(sc).csv_row()))
         for label, sc in _grid_scenarios(config)
     ]
-    rows, failures = _run_points(points, jobs)
-    _finish("covertness", config, rows, failures, out, fmt)
+    _finish("covertness", config, points, out, fmt)
 
 
 @main.command()
 @_with_common
-def sweep(config_path, sets, seed, shots, jobs, out, fmt) -> None:
+def sweep(config_path, sets, seed, shots, out, fmt) -> None:
     """Monte Carlo estimation sweep over an arbitrary scenario grid."""
     config = _resolve_config("sweep", config_path, sets, seed, shots)
-    variants = _variants_of(config)
-    points = []
-    idx = 0
+    cases = []
     for label, sc in _grid_scenarios(config):
         rep = covertness_report(sc)
-        extra = {"epsilon": rep.epsilon, "pe_exact": rep.pe_exact}
-        for variant in variants:
-            points.append(
-                (
-                    f"{label} variant={variant.value}",
-                    (lambda sc=sc, v=variant, i=idx, e=dict(extra): _mc_row(config, sc, v, i, e)),
-                )
-            )
-            idx += 1
-    rows, failures = _run_points(points, jobs)
-    _finish("sweep", config, rows, failures, out, fmt)
+        cases.append((label, sc, {"epsilon": rep.epsilon, "pe_exact": rep.pe_exact}))
+    _finish("sweep", config, _mc_points(config, cases), out, fmt)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ All operations are pure: they return new states and never mutate inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -115,22 +115,6 @@ class SymplecticOp:
         defect = np.linalg.norm(S @ omega(n) @ S.T - omega(n))
         if defect > SYMPLECTIC_TOL * max(1.0, np.linalg.norm(S) ** 2):
             raise StateError(f"matrix is not symplectic (defect {defect:.3e})")
-
-    def compose(self, other: "SymplecticOp") -> "SymplecticOp":
-        """self after other: r -> S_self (S_other r + d_other) + d_self."""
-        return SymplecticOp(
-            self.matrix @ other.matrix,
-            self.matrix @ other.displacement + self.displacement,
-        )
-
-
-@dataclass(frozen=True)
-class PhotonStats:
-    """Photon-number moments for a set of modes."""
-
-    mean: Mapping[str, float]
-    variance: Mapping[str, float]
-    pairwise_covariances: Mapping[frozenset, float] = field(default_factory=dict)
 
 
 def vacuum(mode_labels: Sequence[str] | int) -> GaussianState:
@@ -280,21 +264,6 @@ def photon_covariance(state: GaussianState, mode_a: str, mode_b: str) -> float:
     return float(np.sum(C * C)) / 8.0 + float(ma @ C @ mb) / 4.0
 
 
-def photon_stats(state: GaussianState, modes: Iterable[str] | None = None) -> PhotonStats:
-    """Per-mode photon means/variances and pairwise number covariances,
-    via Gaussian (Isserlis) moment reduction."""
-    modes = list(modes) if modes is not None else list(state.mode_labels)
-    for m in modes:
-        state.mode_index(m)
-    means = {m: photon_mean(state, m) for m in modes}
-    variances = {m: photon_variance(state, m) for m in modes}
-    covs = {}
-    for i, a in enumerate(modes):
-        for b in modes[i + 1 :]:
-            covs[frozenset((a, b))] = photon_covariance(state, a, b)
-    return PhotonStats(means, variances, covs)
-
-
 def difference_stats(state: GaussianState, mode_a: str, mode_b: str) -> tuple[float, float]:
     """Mean and variance of the balanced difference count n_a - n_b."""
     if mode_a == mode_b:
@@ -306,16 +275,3 @@ def difference_stats(state: GaussianState, mode_a: str, mode_b: str) -> tuple[fl
         - 2.0 * photon_covariance(state, mode_a, mode_b)
     )
     return mean, max(var, 0.0)
-
-
-def partial_trace(state: GaussianState, keep_modes: Sequence[str]) -> GaussianState:
-    """Marginal state on the kept modes (order as given)."""
-    keep = tuple(keep_modes)
-    if not keep:
-        raise ModeError("must keep at least one mode")
-    idx = []
-    for lab in keep:
-        i = 2 * state.mode_index(lab)
-        idx.extend([i, i + 1])
-    idx = np.array(idx)
-    return GaussianState(keep, state.mean[idx], state.cov[np.ix_(idx, idx)])

@@ -8,7 +8,7 @@ M ~ 1e6..1e9 would be both intractable and redundant: the per-mode
 statistics are validated independently against a truncated Fock oracle.
 
 Determinism contract: results are bit-identical for fixed (scenario, K,
-seed) under any scheduling, because every grid point draws from its own
+seed, point index), because every grid point draws from its own
 counter-based Philox stream keyed by (seed, point index).
 """
 
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolVariant, SensingScenario
-from .receivers import (
-    EstimatorSample,
-    ReceiverStats,
-    cosine_estimator,
-    receiver_stats,
-    theory_mse,
-)
+from .receivers import ReceiverStats, cosine_estimator, receiver_stats, theory_mse
 from .metrology import qfi_phase
 
 CLT_GUARD_COUNTS = 100.0
@@ -39,12 +33,14 @@ class CltGuardError(ValueError):
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Monte Carlo summary for one scenario point."""
+    """Monte Carlo summary for one scenario point; cos_hat and theta_hat
+    hold the per-shot estimates in shot order."""
 
     scenario: SensingScenario
     variant: ProtocolVariant
     theta_true: float
-    samples: tuple[EstimatorSample, ...]
+    cos_hat: np.ndarray
+    theta_hat: np.ndarray
     mse_cos: float
     mse_theta: float
     rms_theta: float
@@ -69,15 +65,6 @@ class EstimationResult:
             "qcrb": self.qcrb,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class PointFailure:
-    """A grid point whose simulation raised; sweeps carry on past it."""
-
-    index: int
-    scenario: SensingScenario
-    error: str
 
 
 def _stream(seed: int, point_index: int) -> np.random.Generator:
@@ -127,11 +114,11 @@ def simulate(
     draws = _stream(seed, point_index).normal(
         loc=m * stats.mean_diff, scale=math.sqrt(m * stats.var_diff), size=shots
     )
-    samples = tuple(cosine_estimator(stats, m, float(d)) for d in draws)
+    cos_hat, theta_hat = cosine_estimator(stats, m, draws)
 
     theta = scenario.theta
-    cos_err = np.array([s.cos_hat for s in samples]) - math.cos(theta)
-    th_err = np.array([s.theta_hat for s in samples]) - theta
+    cos_err = cos_hat - math.cos(theta)
+    th_err = theta_hat - theta
     mse_cos = float(np.mean(cos_err**2))
     mse_theta = float(np.mean(th_err**2))
 
@@ -146,7 +133,8 @@ def simulate(
         scenario=scenario,
         variant=variant,
         theta_true=theta,
-        samples=samples,
+        cos_hat=cos_hat,
+        theta_hat=theta_hat,
         mse_cos=mse_cos,
         mse_theta=mse_theta,
         rms_theta=math.sqrt(mse_theta),
@@ -156,26 +144,3 @@ def simulate(
         qcrb=qcrb,
         seed=seed,
     )
-
-
-def sweep(
-    scenario_grid: list[SensingScenario],
-    variant: ProtocolVariant,
-    shots: int = DEFAULT_SHOTS,
-    seed: int = 0,
-    compute_qcrb: bool = True,
-) -> list[EstimationResult | PointFailure]:
-    """Simulate every grid point on its own RNG stream (keyed by grid
-    index); a failing point is recorded as a PointFailure and the sweep
-    continues."""
-    if not scenario_grid:
-        raise ValueError("empty scenario grid")
-    out: list[EstimationResult | PointFailure] = []
-    for i, sc in enumerate(scenario_grid):
-        try:
-            out.append(
-                simulate(sc, variant, shots, seed, point_index=i, compute_qcrb=compute_qcrb)
-            )
-        except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
-            out.append(PointFailure(index=i, scenario=sc, error=str(exc)))
-    return out

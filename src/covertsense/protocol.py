@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class SensingScenario:
     N_R: float = 1e4
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val}")
         if self.N_S < 0 or self.N_B < 0 or self.N_R < 0:
             raise ValueError("photon numbers must be >= 0")
         for name in ("kappa_T", "kappa_E", "kappa_I", "f_W"):
@@ -148,13 +152,3 @@ def willie_brightnesses(scenario: SensingScenario) -> tuple[float, float]:
     n0 = scenario.N_B
     n1 = n0 + scenario.f_W * (1.0 - scenario.kappa_E) * scenario.kappa_T * scenario.N_S
     return n0, n1
-
-
-def willie_marginal(
-    scenario: SensingScenario,
-    variant: ProtocolVariant,  # noqa: ARG001 - marginals coincide across variants
-    signal_present: bool,
-) -> g.GaussianState:
-    """Single-mode thermal state the adversary observes."""
-    n0, n1 = willie_brightnesses(scenario)
-    return g.thermal(n1 if signal_present else n0, "W")

@@ -41,12 +41,6 @@ class ReceiverStats:
     arm_means: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class EstimatorSample:
-    cos_hat: float
-    theta_hat: float
-
-
 def _difference_from_state(state: g.GaussianState, mode_a: str, mode_b: str):
     mean, var = g.difference_stats(state, mode_a, mode_b)
     arms = (g.photon_mean(state, mode_a), g.photon_mean(state, mode_b))
@@ -106,17 +100,20 @@ def receiver_stats(scenario: SensingScenario, variant: ProtocolVariant) -> Recei
     raise ValueError(f"no receiver model for variant {variant}")
 
 
-def cosine_estimator(stats: ReceiverStats, m_pairs: int, total_diff_count: float) -> EstimatorSample:
-    """Scale an aggregate difference count into an unbiased cosine
-    estimate; the phase estimate is the clamped arccos (always in [0, pi],
-    never a domain error)."""
+def cosine_estimator(
+    stats: ReceiverStats, m_pairs: int, total_diff_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale aggregate difference counts (one per shot) into unbiased
+    cosine estimates; the phase estimates are the clamped arccos (always in
+    [0, pi], never a domain error).  Returns (cos_hat, theta_hat)."""
     if m_pairs < 1:
         raise ValueError("need at least one mode pair")
     if stats.calib_scale == 0.0:
         raise CalibrationError("cannot scale by a zero calibration amplitude")
-    cos_hat = total_diff_count / (m_pairs * stats.calib_scale)
-    theta_hat = math.acos(min(1.0, max(-1.0, cos_hat)))
-    return EstimatorSample(cos_hat=cos_hat, theta_hat=theta_hat)
+    cos_hat = total_diff_counts / (m_pairs * stats.calib_scale)
+    # math.acos, not np.arccos: the vectorised arccos can differ in the last bit.
+    theta_hat = np.array([math.acos(min(1.0, max(-1.0, c))) for c in cos_hat.tolist()])
+    return cos_hat, theta_hat
 
 
 def theory_mse(stats: ReceiverStats, m_pairs: int, theta: float | None = None) -> tuple[float, float]:

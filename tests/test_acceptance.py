@@ -368,8 +368,10 @@ def test_criterion_8_bound_ladder_and_estimator_sanity(capsys, tmp_path):
     runner = CliRunner()
     runner.invoke(cli_main, [*args, "--out", str(tmp_path / "a.csv")], catch_exceptions=False)
     runner.invoke(cli_main, [*args, "--out", str(tmp_path / "b.csv")], catch_exceptions=False)
-    rerun_ok = a.samples == b.samples and (
-        (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    rerun_ok = (
+        np.array_equal(a.cos_hat, b.cos_hat)
+        and np.array_equal(a.theta_hat, b.theta_hat)
+        and (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     )
 
     ok = ladder_ok and concentration_ok and rerun_ok

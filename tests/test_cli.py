@@ -113,10 +113,3 @@ def test_fig4_regime_rows(tmp_path):
     lines = [l for l in (tmp_path / "f4.csv").read_text().splitlines() if not l.startswith("#")]
     regimes = {row.split(",")[0] for row in lines[1:]}
     assert regimes == {"fixed_covertness", "fixed_power"}
-
-
-def test_jobs_do_not_change_output(tmp_path):
-    args = ["fig3", *FAST, "--set", f"theta_grid={THETA3}"]
-    run([*args, "--jobs", "1", "--out", str(tmp_path / "j1.csv")])
-    run([*args, "--jobs", "4", "--out", str(tmp_path / "j4.csv")])
-    assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j4.csv").read_bytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from covertsense.protocol import (
     split_thermal,
     tmsv,
     willie_brightnesses,
-    willie_marginal,
 )
 
 
@@ -31,6 +31,13 @@ def test_scenario_validation():
         SensingScenario(kappa_T=1.5)
     with pytest.raises(ValueError):
         SensingScenario(W=1.0, T=1e-9)  # M rounds to zero
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", [f.name for f in fields(SensingScenario)])
+def test_scenario_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SensingScenario(**{name: value})
 
 
 def test_with_returns_modified_copy():
@@ -129,12 +136,17 @@ def test_willie_no_probe_is_background_only():
 
 
 def test_willie_marginal_identical_across_variants():
-    sc = SensingScenario(N_S=0.01)
-    a = willie_marginal(sc, ProtocolVariant.ENTANGLED, signal_present=True)
-    b = willie_marginal(sc, ProtocolVariant.CLASSICAL_THERMAL, signal_present=True)
-    assert np.allclose(a.cov, b.cov)
-    # and the source's own signal-arm marginal is thermal with mean N_S
-    for probe in (tmsv(0.01, ("S", "x")), split_thermal(0.01, 3.0, ("S", "x"))):
-        assert g.photon_mean(probe, "S") == pytest.approx(0.01, rel=1e-9)
-        reduced = g.partial_trace(probe, ("S",))
-        assert np.allclose(reduced.cov, (2 * 0.01 + 1) * np.eye(2), atol=1e-10)
+    # Willie's brightnesses depend on the probe arm S only through its mean
+    # photon number, which every source sets to N_S
+    n_s = 0.01
+    thermal_arms = (tmsv(n_s, ("S", "x")), split_thermal(n_s, 3.0, ("S", "x")))
+    coherent = coherent_probe(n_s, "S")
+    for probe in thermal_arms:
+        mean, cov = probe.mode_block("S")
+        assert np.allclose(mean, 0.0)
+        assert np.allclose(cov, (2 * n_s + 1) * np.eye(2), atol=1e-10)
+    mean, cov = coherent.mode_block("S")
+    assert np.allclose(mean, [2.0 * math.sqrt(n_s), 0.0])
+    assert np.allclose(cov, np.eye(2))
+    for probe in (*thermal_arms, coherent):
+        assert g.photon_mean(probe, "S") == pytest.approx(n_s, rel=1e-9)

@@ -52,15 +52,29 @@ def test_zero_probe_degenerate_calibration():
 def test_cosine_estimator_scaling():
     st = pcr_stats(DESK)
     m = DESK.M
-    sample = cosine_estimator(st, m, m * st.calib_scale * math.cos(0.7))
-    assert sample.cos_hat == pytest.approx(math.cos(0.7), rel=1e-12)
-    assert sample.theta_hat == pytest.approx(0.7, rel=1e-12)
+    thetas = np.array([0.2, 0.7, 2.5])
+    cos_hat, theta_hat = cosine_estimator(st, m, m * st.calib_scale * np.cos(thetas))
+    assert cos_hat == pytest.approx(np.cos(thetas), rel=1e-12)
+    assert theta_hat == pytest.approx(thetas, rel=1e-12)
 
 
 def test_cosine_estimator_clamps_out_of_range():
     st = pcr_stats(DESK)
-    sample = cosine_estimator(st, 10, 1e9)
-    assert sample.theta_hat == 0.0
+    cos_hat, theta_hat = cosine_estimator(st, 10, np.array([1e9, -1e9]))
+    assert cos_hat[0] > 1.0 and cos_hat[1] < -1.0
+    assert theta_hat.tolist() == [0.0, math.pi]
+
+
+def test_cosine_estimator_is_clamped_math_acos_per_shot():
+    st = pcr_stats(DESK)
+    m = 1000
+    rng = np.random.default_rng(4)
+    # spread wide enough that a good share of shots land outside [-1, 1]
+    draws = rng.normal(0.0, 1.5 * m * st.calib_scale, size=5000)
+    cos_hat, theta_hat = cosine_estimator(st, m, draws)
+    assert np.any(np.abs(cos_hat) > 1.0) and np.any(np.abs(cos_hat) < 1.0)
+    expected = [math.acos(min(1.0, max(-1.0, c))) for c in cos_hat.tolist()]
+    assert theta_hat.tolist() == expected
 
 
 def test_theory_mse_scales_inverse_m():
