@@ -6,6 +6,11 @@ The covertness parameter is defined through quantum relative entropy and
 Pinsker's inequality, epsilon = sqrt(M D(rho1 || rho0) / 8), preserving
 the operational guarantee P_e >= 1/2 - epsilon.  In the weak-probe,
 bright-background regime it scales as sqrt(M) N_S / N_B.
+
+Every bound here compares thermal states, which is what Willie sees for
+the thermal-arm probes (`entangled` and `classical_thermal`).  The
+`coherent_baseline` signal arm is a displaced vacuum, so Willie sees a
+displaced thermal state, and epsilon and pe_exact are not its bounds.
 """
 
 from __future__ import annotations
@@ -54,13 +59,6 @@ class CovertnessReport:
         }
 
 
-def _g_entropy(n: float) -> float:
-    """Bosonic entropy function g(n) = (n+1) ln(n+1) - n ln n."""
-    if n <= 0.0:
-        return 0.0
-    return (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
-
-
 def thermal_rel_entropy(n_a: float, n_b: float) -> float:
     """Quantum relative entropy D(thermal(n_a) || thermal(n_b)) in nats.
 
@@ -101,7 +99,7 @@ def thermal_rel_entropy(n_a: float, n_b: float) -> float:
 def epsilon_of(scenario: SensingScenario) -> float:
     """Covertness parameter via the relative-entropy/Pinsker route.
 
-    Willie's brightnesses are the same for every probe variant."""
+    Willie's brightnesses are the same for both thermal-arm variants."""
     n0, n1 = willie_brightnesses(scenario)
     if n1 == n0:
         return 0.0
@@ -179,31 +177,25 @@ def _pe_threshold_gaussian(n0: float, n1: float, m: int) -> DetectionTest:
     return DetectionTest(threshold=int(round(res.x)), pe=pe, method="gaussian_approx")
 
 
-def pe_optimal_counting(
-    n0: float, n1: float, m_copies: int, window_count: int = 1
-) -> DetectionTest:
+def pe_optimal_counting(n0: float, n1: float, m_copies: int) -> DetectionTest:
     """Error probability of Willie's optimal measurement: direct photon
-    counting with the Bayes-optimal threshold on the total count over
-    M * window_count thermal modes.
+    counting with the Bayes-optimal threshold on the total count over M
+    thermal modes.
 
     Uses the exact negative-binomial summation while the expected count is
     at most 1e6; beyond that a Gaussian (CLT) approximation takes over and
     the result is flagged accordingly."""
-    if window_count < 1:
-        raise ValueError("window_count must be >= 1")
     if not n1 > n0 >= 0.0:
         if n0 == n1:
             return DetectionTest(threshold=0, pe=0.5, method="exact_threshold")
         raise ValueError("need n1 > n0 >= 0")
-    m = int(m_copies) * int(window_count)
+    m = int(m_copies)
     if m * n1 <= EXACT_COUNT_LIMIT:
         return _pe_threshold_exact(n0, n1, m)
     return _pe_threshold_gaussian(n0, n1, m)
 
 
-def solve_ns_for_epsilon(
-    epsilon_target: float, scenario: SensingScenario, ns_cap: float = NS_SOLVER_CAP
-) -> float:
+def solve_ns_for_epsilon(epsilon_target: float, scenario: SensingScenario) -> float:
     """Invert epsilon_of for the probe brightness at fixed channel and M.
 
     epsilon_of is strictly increasing in N_S, so a bracketed root search
@@ -216,17 +208,16 @@ def solve_ns_for_epsilon(
     def gap(n_s: float) -> float:
         return epsilon_of(scenario.with_(N_S=n_s)) - epsilon_target
 
-    if gap(ns_cap) < 0.0:
+    if gap(NS_SOLVER_CAP) < 0.0:
         raise ValueError(
-            f"epsilon target {epsilon_target} unreachable with N_S <= {ns_cap}"
+            f"epsilon target {epsilon_target} unreachable with N_S <= {NS_SOLVER_CAP}"
         )
-    root = brentq(gap, 0.0, ns_cap, xtol=1e-300, rtol=1e-12)
+    root = brentq(gap, 0.0, NS_SOLVER_CAP, xtol=1e-300, rtol=1e-12)
     return float(root)
 
 
 def sqrt_law_schedule(
-    constant: float, t_grid: Sequence[float], scenario: SensingScenario,
-    ns_cap: float = NS_SOLVER_CAP,
+    constant: float, t_grid: Sequence[float], scenario: SensingScenario
 ) -> list[SensingScenario]:
     """Scenarios holding kappa * N_S * sqrt(M) = constant across a grid of
     interrogation times (the square-root law), so covertness stays flat
@@ -237,19 +228,19 @@ def sqrt_law_schedule(
     for t in t_grid:
         sc = scenario.with_(T=float(t))
         n_s = constant / (sc.kappa * math.sqrt(sc.M))
-        if n_s > ns_cap:
+        if n_s > NS_SOLVER_CAP:
             raise ValueError(
-                f"schedule needs N_S={n_s:.3g} at T={t}, above the cap {ns_cap}"
+                f"schedule needs N_S={n_s:.3g} at T={t}, above the cap {NS_SOLVER_CAP}"
             )
         out.append(sc.with_(N_S=n_s))
     return out
 
 
-def covertness_report(scenario: SensingScenario, window_count: int = 1) -> CovertnessReport:
+def covertness_report(scenario: SensingScenario) -> CovertnessReport:
     """Full adversary-side summary for one scenario point."""
     n0, n1 = willie_brightnesses(scenario)
     m = scenario.M
-    test = pe_optimal_counting(n0, n1, m, window_count)
+    test = pe_optimal_counting(n0, n1, m)
     return CovertnessReport(
         n0=n0,
         n1=n1,

@@ -9,6 +9,7 @@ per-command defaults.  Unknown keys are rejected up front; identical
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -103,11 +104,7 @@ def _resolve_config(
     seed: int | None,
     shots: int | None,
 ) -> dict:
-    defaults = _deep_merge(
-        {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[command]},
-        {},
-    )
-    merged = defaults
+    merged = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[command]}
     if config_path is not None:
         with open(config_path) as fh:
             loaded = yaml.safe_load(fh) or {}
@@ -192,8 +189,9 @@ def _finish(command: str, config: dict, points: list, out: str, fmt: str) -> Non
         sys.exit(1)
 
 
-def _mc_row(config: dict, scenario: SensingScenario, variant: ProtocolVariant,
-            point_index: int, extra: dict) -> dict:
+def _mc_row(config: dict, case: Callable[[], tuple[SensingScenario, dict]],
+            variant: ProtocolVariant, point_index: int) -> dict:
+    scenario, extra = case()
     res = simulate(
         scenario,
         variant,
@@ -211,17 +209,22 @@ def _mc_row(config: dict, scenario: SensingScenario, variant: ProtocolVariant,
 
 
 def _mc_points(
-    config: dict, cases: list[tuple[str, SensingScenario, dict]]
+    config: dict, cases: list[tuple[str, Callable[[], tuple[SensingScenario, dict]]]]
 ) -> list[tuple[str, Callable[[], dict]]]:
-    """One Monte Carlo point per (case, variant), in that order.  A point's
-    position is its point index, which keys its RNG stream."""
+    """One Monte Carlo point per (case, variant), in that order.  A case is
+    (label, build), where build() returns the scenario and the row's extra
+    columns.  It runs inside the case's first point and its result is kept
+    for the others; a case that raises fails only its own points, each with
+    the same error.  A point's position is its point index, which keys its
+    RNG stream."""
     points = []
     variants = _variants_of(config)
-    for label, sc, extra in cases:
+    for label, build in cases:
+        case = functools.cache(build)
         for variant in variants:
             i = len(points)
             points.append((f"{label} variant={variant.value}",
-                           lambda sc=sc, v=variant, i=i, e=extra: _mc_row(config, sc, v, i, e)))
+                           lambda case=case, v=variant, i=i: _mc_row(config, case, v, i)))
     return points
 
 
@@ -253,7 +256,7 @@ def fig3(config_path, sets, seed, shots, out, fmt) -> None:
     """Phase estimation vs theta for both protocol variants."""
     config = _resolve_config("fig3", config_path, sets, seed, shots)
     cases = [
-        (f"theta={theta:g}", _scenario_of(config, theta=float(theta)), {})
+        (f"theta={theta:g}", lambda sc=_scenario_of(config, theta=float(theta)): (sc, {}))
         for theta in config["theta_grid"]
     ]
     _finish("fig3", config, _mc_points(config, cases), out, fmt)
@@ -269,15 +272,15 @@ def fig4(config_path, sets, seed, shots, out, fmt) -> None:
         if regime not in ("fixed_covertness", "fixed_power"):
             raise ConfigError(f"unknown regime {regime!r}")
         for n_b in config["nb_grid"]:
-            base = _scenario_of(config, N_B=float(n_b))
-            if regime == "fixed_covertness":
-                n_s = solve_ns_for_epsilon(config["epsilon"], base)
-            else:
-                n_s = config["fixed_power_ns"]
-            sc = base.with_(N_S=float(n_s))
-            rep = covertness_report(sc)
-            extra = {"regime": regime, "epsilon": rep.epsilon, "pe_exact": rep.pe_exact}
-            cases.append((f"regime={regime} N_B={n_b:g}", sc, extra))
+            def build(base=_scenario_of(config, N_B=float(n_b)), regime=regime):
+                if regime == "fixed_covertness":
+                    n_s = solve_ns_for_epsilon(config["epsilon"], base)
+                else:
+                    n_s = config["fixed_power_ns"]
+                sc = base.with_(N_S=float(n_s))
+                rep = covertness_report(sc)
+                return sc, {"regime": regime, "epsilon": rep.epsilon, "pe_exact": rep.pe_exact}
+            cases.append((f"regime={regime} N_B={n_b:g}", build))
     _finish("fig4", config, _mc_points(config, cases), out, fmt)
 
 
@@ -294,16 +297,17 @@ def fig5(config_path, sets, seed, shots, out, fmt) -> None:
     cases = []
     for schedule, scenarios in (("obey", obey), ("violate", violate)):
         for sc in scenarios:
-            rep = covertness_report(sc)
-            extra = {
-                "schedule": schedule,
-                "T": sc.T,
-                "epsilon": rep.epsilon,
-                "pe_lower": rep.pe_lower_fidelity,
-                "pe_exact": rep.pe_exact,
-                "method": rep.method,
-            }
-            cases.append((f"schedule={schedule} T={sc.T:g}", sc, extra))
+            def build(sc=sc, schedule=schedule):
+                rep = covertness_report(sc)
+                return sc, {
+                    "schedule": schedule,
+                    "T": sc.T,
+                    "epsilon": rep.epsilon,
+                    "pe_lower": rep.pe_lower_fidelity,
+                    "pe_exact": rep.pe_exact,
+                    "method": rep.method,
+                }
+            cases.append((f"schedule={schedule} T={sc.T:g}", build))
     _finish("fig5", config, _mc_points(config, cases), out, fmt)
 
 
@@ -377,8 +381,10 @@ def sweep(config_path, sets, seed, shots, out, fmt) -> None:
     config = _resolve_config("sweep", config_path, sets, seed, shots)
     cases = []
     for label, sc in _grid_scenarios(config):
-        rep = covertness_report(sc)
-        cases.append((label, sc, {"epsilon": rep.epsilon, "pe_exact": rep.pe_exact}))
+        def build(sc=sc):
+            rep = covertness_report(sc)
+            return sc, {"epsilon": rep.epsilon, "pe_exact": rep.pe_exact}
+        cases.append((label, build))
     _finish("sweep", config, _mc_points(config, cases), out, fmt)
 
 

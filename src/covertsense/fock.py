@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln
 
-from .gaussian import GaussianState, omega
+from .gaussian import GaussianState, omega, photon_mean
 
 MAX_TOTAL_DIM = 8000
 DEFICIT_LIMIT = 1e-6
@@ -54,15 +54,6 @@ class FockState:
     def trace(self) -> float:
         return float(np.trace(self.matrix()).real)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        m = self.matrix()
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-            raise TruncationError("density matrix is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(m))) < -1e-9:
-            raise TruncationError("density matrix is not positive semidefinite")
-        if abs(self.trace() + self.trace_deficit - 1.0) > tol:
-            raise TruncationError("trace bookkeeping broken")
-
 
 def _as_cutoffs(cutoffs, n_modes: int) -> tuple[int, ...]:
     if isinstance(cutoffs, int):
@@ -77,6 +68,14 @@ def _as_cutoffs(cutoffs, n_modes: int) -> tuple[int, ...]:
 
 def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+
+
+def _on_mode(op: np.ndarray, i: int, cutoffs) -> np.ndarray:
+    """Full-space operator: `op` on mode i, the identity on every other mode."""
+    full = np.eye(1)
+    for j, c in enumerate(cutoffs):
+        full = np.kron(full, op if j == i else np.eye(c))
+    return full
 
 
 def vacuum_fock(cutoffs) -> FockState:
@@ -165,16 +164,12 @@ def fock_phase(state: FockState, mode: int, theta: float) -> FockState:
     return apply_unitary(state, u, [mode])
 
 
-def _two_mode_op(op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
-    return np.kron(op_a, op_b)
-
-
 def fock_beamsplitter(state: FockState, mode_a: int, mode_b: int, eta: float) -> FockState:
     """Beamsplitter matching the phase-space convention
     a -> sqrt(eta) a + sqrt(1-eta) b."""
     da, db = state.cutoffs[mode_a], state.cutoffs[mode_b]
     a, b = destroy(da), destroy(db)
-    gen = _two_mode_op(a.conj().T, b) - _two_mode_op(a, b.conj().T)
+    gen = np.kron(a.conj().T, b) - np.kron(a, b.conj().T)
     u = sla.expm(math.acos(math.sqrt(eta)) * gen)
     return apply_unitary(state, u, [mode_a, mode_b])
 
@@ -185,7 +180,7 @@ def fock_two_mode_squeeze(state: FockState, mode_a: int, mode_b: int, gain: floa
     Mildly enlarges occupations; caller picks cutoffs with headroom."""
     da, db = state.cutoffs[mode_a], state.cutoffs[mode_b]
     a, b = destroy(da), destroy(db)
-    gen = _two_mode_op(a.conj().T, b.conj().T) - _two_mode_op(a, b)
+    gen = np.kron(a.conj().T, b.conj().T) - np.kron(a, b)
     r = math.acosh(math.sqrt(gain))
     u = sla.expm(r * gen)
     out = apply_unitary(state, u, [mode_a, mode_b])
@@ -208,15 +203,14 @@ def _loss_kraus(dim: int, kappa: float) -> list[np.ndarray]:
     return ops
 
 
-def _amp_kraus(dim: int, gain: float, max_added: int | None = None) -> list[np.ndarray]:
+def _amp_kraus(dim: int, gain: float) -> list[np.ndarray]:
     """Quantum-limited amplifier Kraus operators,
     B_l |k> = sqrt(binom(k+l, l) (1-1/G)^l (1/G)^(k+1)) |k+l>."""
     if gain == 1.0:
         return [np.eye(dim)]
     x = 1.0 - 1.0 / gain
     ops = []
-    top = dim if max_added is None else min(dim, max_added + 1)
-    for added in range(top):
+    for added in range(dim):
         op = np.zeros((dim, dim))
         kk = np.arange(0, dim - added)
         logc = gammaln(kk + added + 1) - gammaln(added + 1) - gammaln(kk + 1)
@@ -244,23 +238,6 @@ def fock_thermal_loss(state: FockState, mode: int, kappa: float, added_noise: fl
     if gain > 1.0:
         out = apply_kraus(out, _amp_kraus(dim, gain), [mode])
     return out
-
-
-def fock_partial_trace(state: FockState, keep_modes) -> FockState:
-    keep = list(keep_modes)
-    n = state.n_modes
-    dm = state.dm
-    drop = sorted(set(range(n)) - set(keep), reverse=True)
-    cur = list(range(n))
-    for mode in drop:
-        pos = cur.index(mode)
-        dm = np.trace(dm, axis1=pos, axis2=pos + len(cur))
-        cur.pop(pos)
-    # reorder remaining modes to the requested order
-    order = [cur.index(m) for m in keep]
-    m = len(cur)
-    dm = dm.transpose(order + [o + m for o in order])
-    return FockState(dm, tuple(state.cutoffs[m_] for m_ in keep), state.trace_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +315,14 @@ def fock_fidelity(a: FockState, b: FockState) -> float:
     return float(np.sum(sv))
 
 
-def fock_trace_distance(a: FockState, b: FockState) -> float:
-    _check_comparable(a, b)
-    vals = np.linalg.eigvalsh(a.matrix() - b.matrix())
-    return 0.5 * float(np.sum(np.abs(vals)))
-
-
-def fock_rel_entropy(a: FockState, b: FockState, floor: float = 1e-300) -> float:
+def fock_rel_entropy(a: FockState, b: FockState) -> float:
     """D(a || b) in nats via eigendecompositions."""
     _check_comparable(a, b)
     am, bm = a.matrix(), b.matrix()
     va, ua = np.linalg.eigh(am)
     vb, ub = np.linalg.eigh(bm)
     va = np.clip(va.real, 0.0, None)
-    vb = np.clip(vb.real, floor, None)
+    vb = np.clip(vb.real, 1e-300, None)  # keeps log(vb) finite
     s_a = float(np.sum(va[va > 0] * np.log(va[va > 0])))
     # tr(a log b) = sum_j log(mu_j) <u_j| a |u_j>
     w = np.real(np.einsum("ij,ij->j", ub.conj(), am @ ub))
@@ -396,11 +367,7 @@ def _quadrature_ops(cutoffs) -> list[np.ndarray]:
         a = destroy(cutoffs[i])
         x = a + a.conj().T
         p = -1j * (a - a.conj().T)
-        for op in (x, p):
-            full = np.eye(1)
-            for j in range(n):
-                full = np.kron(full, op if j == i else np.eye(cutoffs[j]))
-            ops.append(full)
+        ops += [_on_mode(x, i, cutoffs), _on_mode(p, i, cutoffs)]
     return ops
 
 
@@ -427,13 +394,7 @@ def unitary_from_symplectic(s: np.ndarray, cutoffs) -> np.ndarray:
     k_herm = -1j * sla.logm(u_modes)
     k_herm = 0.5 * (k_herm + k_herm.conj().T)
     gen = np.zeros((d, d), dtype=complex)
-    ladders = []
-    for i in range(n):
-        a = destroy(cutoffs[i])
-        full = np.eye(1)
-        for j in range(n):
-            full = np.kron(full, a if j == i else np.eye(cutoffs[j]))
-        ladders.append(full)
+    ladders = [_on_mode(destroy(cutoffs[i]), i, cutoffs) for i in range(n)]
     for j in range(n):
         for k in range(n):
             if k_herm[j, k] != 0.0:
@@ -454,8 +415,6 @@ def from_gaussian(state: GaussianState, cutoffs) -> FockState:
     if n > 3:
         raise ValueError("oracle supports at most 3 modes")
     cutoffs = _as_cutoffs(cutoffs, n)
-    from .gaussian import photon_mean
-
     for i, lab in enumerate(state.mode_labels):
         if photon_mean(state, lab) > cutoffs[i] / 8.0:
             raise TruncationError(
@@ -470,10 +429,7 @@ def from_gaussian(state: GaussianState, cutoffs) -> FockState:
         mx, mp = state.mean[2 * i], state.mean[2 * i + 1]
         if mx != 0.0 or mp != 0.0:
             alpha = 0.5 * (mx + 1j * mp)
-            dop = displacement_op(alpha, cutoffs[i])
-            full = np.eye(1)
-            for j in range(n):
-                full = np.kron(full, dop if j == i else np.eye(cutoffs[j]))
+            full = _on_mode(displacement_op(alpha, cutoffs[i]), i, cutoffs)
             mat = full @ mat @ full.conj().T
     out = FockState(mat.reshape(cutoffs + cutoffs), cutoffs, 0.0)
     out.trace_deficit = max(1.0 - out.trace(), 0.0)

@@ -21,7 +21,6 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-9
-SYMPLECTIC_TOL = 1e-9
 
 
 class StateError(ValueError):
@@ -97,32 +96,8 @@ class GaussianState:
         return self.cov[ia : ia + 2, ib : ib + 2].copy()
 
 
-@dataclass(frozen=True)
-class SymplecticOp:
-    """A Gaussian unitary in phase space: r -> S r + d."""
-
-    matrix: np.ndarray
-    displacement: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        S = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", S)
-        d = self.displacement
-        if d is None:
-            d = np.zeros(S.shape[0])
-        object.__setattr__(self, "displacement", np.asarray(d, dtype=float))
-        n = S.shape[0] // 2
-        defect = np.linalg.norm(S @ omega(n) @ S.T - omega(n))
-        if defect > SYMPLECTIC_TOL * max(1.0, np.linalg.norm(S) ** 2):
-            raise StateError(f"matrix is not symplectic (defect {defect:.3e})")
-
-
-def vacuum(mode_labels: Sequence[str] | int) -> GaussianState:
-    """Vacuum state; accepts a mode count or explicit labels."""
-    if isinstance(mode_labels, int):
-        if mode_labels < 1:
-            raise ValueError("need at least one mode")
-        mode_labels = tuple(f"m{i}" for i in range(mode_labels))
+def vacuum(mode_labels: Sequence[str]) -> GaussianState:
+    """Vacuum state on the given modes."""
     labels = tuple(mode_labels)
     n = len(labels)
     return GaussianState(labels, np.zeros(2 * n), np.eye(2 * n))
@@ -151,8 +126,8 @@ def append_vacuum(state: GaussianState, label: str) -> GaussianState:
     return tensor(state, vacuum((label,)))
 
 
-def _embed(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> np.ndarray:
-    """Expand a symplectic acting on `labels` to the full mode set."""
+def _gate(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> GaussianState:
+    """Apply a symplectic acting on `labels`, expanded to the full mode set."""
     n = state.n_modes
     S = np.eye(2 * n)
     idx = []
@@ -161,12 +136,7 @@ def _embed(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> np
         idx.extend([i, i + 1])
     idx = np.array(idx)
     S[np.ix_(idx, idx)] = small
-    return S
-
-
-def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    S, d = op.matrix, op.displacement
-    return GaussianState(state.mode_labels, S @ state.mean + d, S @ state.cov @ S.T)
+    return GaussianState(state.mode_labels, S @ state.mean, S @ state.cov @ S.T)
 
 
 def phase_symplectic(theta: float) -> np.ndarray:
@@ -190,8 +160,7 @@ def two_mode_squeeze_symplectic(gain: float) -> np.ndarray:
 
 def apply_phase(state: GaussianState, mode: str, theta: float) -> GaussianState:
     """Rotate one mode by theta; photon statistics are unchanged."""
-    S = _embed(state, [mode], phase_symplectic(theta))
-    return apply_symplectic(state, SymplecticOp(S))
+    return _gate(state, [mode], phase_symplectic(theta))
 
 
 def apply_beamsplitter(
@@ -202,8 +171,7 @@ def apply_beamsplitter(
         raise ValueError(f"transmissivity must be in [0, 1], got {transmissivity}")
     if mode_a == mode_b:
         raise ModeError("beamsplitter needs two distinct modes")
-    S = _embed(state, [mode_a, mode_b], beamsplitter_symplectic(transmissivity))
-    return apply_symplectic(state, SymplecticOp(S))
+    return _gate(state, [mode_a, mode_b], beamsplitter_symplectic(transmissivity))
 
 
 def apply_two_mode_squeeze(
@@ -214,8 +182,7 @@ def apply_two_mode_squeeze(
         raise ValueError(f"gain must be >= 1, got {gain}")
     if mode_a == mode_b:
         raise ModeError("two-mode squeezer needs two distinct modes")
-    S = _embed(state, [mode_a, mode_b], two_mode_squeeze_symplectic(gain))
-    return apply_symplectic(state, SymplecticOp(S))
+    return _gate(state, [mode_a, mode_b], two_mode_squeeze_symplectic(gain))
 
 
 def apply_thermal_loss(

@@ -39,7 +39,6 @@ class QfiResult:
 
     J: float
     qcrb_var: float
-    step: float
     richardson_error: float
 
 
@@ -88,16 +87,13 @@ def _fidelity_mp(state_a: GaussianState, state_b: GaussianState) -> mp.mpf:
 
 
 def qfi_of_family(
-    state_at: Callable[[float], GaussianState],
-    theta: float,
-    steps: tuple[float, float] = QFI_STEPS,
+    state_at: Callable[[float], GaussianState], theta: float
 ) -> QfiResult:
     """QFI of a one-parameter Gaussian family by central finite differences
     of the fidelity, J = lim 8 (1 - F(theta - h/2, theta + h/2)) / h^2,
-    with Richardson extrapolation over the two steps."""
-    h1, h2 = steps
+    with Richardson extrapolation over the two QFI_STEPS."""
     estimates = []
-    for h in (h1, h2):
+    for h in QFI_STEPS:
         fid = _fidelity_mp(state_at(theta - h / 2.0), state_at(theta + h / 2.0))
         estimates.append(8.0 * float(1 - fid) / h**2)
     j1, j2 = estimates
@@ -109,26 +105,22 @@ def qfi_of_family(
         raise ConvergenceError(
             f"finite-difference QFI did not converge (J={j:.3e}, err={err:.3e})"
         )
-    return QfiResult(J=max(j, 0.0), qcrb_var=math.nan, step=h2, richardson_error=err)
+    return QfiResult(J=max(j, 0.0), qcrb_var=math.nan, richardson_error=err)
 
 
-def qfi_phase(
-    scenario: SensingScenario,
-    variant: ProtocolVariant,
-    steps: tuple[float, float] = QFI_STEPS,
-) -> QfiResult:
+def qfi_phase(scenario: SensingScenario, variant: ProtocolVariant) -> QfiResult:
     """QFI per mode pair of the receiver-input state (returned probe plus
     stored idler/reference, storage loss included) with respect to the
     probed phase; qcrb_var = 1 / (M J)."""
     if scenario.N_S == 0.0:
-        return QfiResult(J=0.0, qcrb_var=math.inf, step=steps[1], richardson_error=0.0)
+        return QfiResult(J=0.0, qcrb_var=math.inf, richardson_error=0.0)
 
     def state_at(th: float) -> GaussianState:
         return build_receiver_input(scenario.with_(theta=th), variant)
 
-    result = qfi_of_family(state_at, scenario.theta, steps)
+    result = qfi_of_family(state_at, scenario.theta)
     qcrb = math.inf if result.J == 0.0 else 1.0 / (scenario.M * result.J)
-    return QfiResult(result.J, qcrb, result.step, result.richardson_error)
+    return QfiResult(result.J, qcrb, result.richardson_error)
 
 
 def receiver_fisher(stats: ReceiverStats, theta: float) -> float:

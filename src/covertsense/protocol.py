@@ -147,8 +147,10 @@ def build_receiver_input(
 
 def willie_brightnesses(scenario: SensingScenario) -> tuple[float, float]:
     """(n0, n1): the adversary's per-mode thermal means without and with
-    the probe.  Identical for every probe variant, since each probe's
-    signal-arm marginal is thermal with mean N_S."""
+    the probe.  Identical for the `entangled` and `classical_thermal`
+    variants, whose signal-arm marginal is thermal with mean N_S.  The
+    `coherent_baseline` arm is a displaced vacuum of the same mean, so
+    Willie's state is then not thermal and these are not its statistics."""
     n0 = scenario.N_B
     n1 = n0 + scenario.f_W * (1.0 - scenario.kappa_E) * scenario.kappa_T * scenario.N_S
     return n0, n1

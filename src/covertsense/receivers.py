@@ -35,16 +35,9 @@ class ReceiverStats:
     mean_diff: float
     var_diff: float
     calib_scale: float
-    theta: float
     variant: ProtocolVariant
     scenario: SensingScenario
     arm_means: tuple[float, float]
-
-
-def _difference_from_state(state: g.GaussianState, mode_a: str, mode_b: str):
-    mean, var = g.difference_stats(state, mode_a, mode_b)
-    arms = (g.photon_mean(state, mode_a), g.photon_mean(state, mode_b))
-    return mean, var, arms
 
 
 def _pcr_state(scenario: SensingScenario) -> g.GaussianState:
@@ -60,44 +53,36 @@ def _hr_state(scenario: SensingScenario) -> g.GaussianState:
     return g.apply_beamsplitter(state, "ret", "ref", 0.5)
 
 
+# variant -> (receiver name, receiver state builder, detected mode pair)
+_RECEIVERS = {
+    ProtocolVariant.ENTANGLED: ("PCR", _pcr_state, ("conj", "idler")),
+    ProtocolVariant.CLASSICAL_THERMAL: ("HR", _hr_state, ("ret", "ref")),
+}
+
+
+def receiver_stats(scenario: SensingScenario, variant: ProtocolVariant) -> ReceiverStats:
+    """Difference-count statistics of the variant's receiver, calibrated
+    by a second pass at theta = 0."""
+    if variant not in _RECEIVERS:
+        raise ValueError(f"no receiver model for variant {variant}")
+    name, state_of, (mode_a, mode_b) = _RECEIVERS[variant]
+    state = state_of(scenario)
+    mean, var = g.difference_stats(state, mode_a, mode_b)
+    arms = (g.photon_mean(state, mode_a), g.photon_mean(state, mode_b))
+    calib, _ = g.difference_stats(state_of(scenario.with_(theta=0.0)), mode_a, mode_b)
+    if calib == 0.0:
+        raise CalibrationError(f"{name} cosine amplitude is zero (no cross correlation)")
+    return ReceiverStats(mean, var, calib, variant, scenario, arms)
+
+
 def pcr_stats(scenario: SensingScenario) -> ReceiverStats:
     """Difference-count statistics of the phase-conjugate receiver."""
-    mean, var, arms = _difference_from_state(_pcr_state(scenario), "conj", "idler")
-    calib, _, _ = _difference_from_state(
-        _pcr_state(scenario.with_(theta=0.0)), "conj", "idler"
-    )
-    if calib == 0.0:
-        raise CalibrationError("PCR cosine amplitude is zero (no cross correlation)")
-    return ReceiverStats(
-        mean, var, calib, scenario.theta, ProtocolVariant.ENTANGLED, scenario, arms
-    )
+    return receiver_stats(scenario, ProtocolVariant.ENTANGLED)
 
 
 def hr_stats(scenario: SensingScenario) -> ReceiverStats:
     """Difference-count statistics of the balanced classical receiver."""
-    mean, var, arms = _difference_from_state(_hr_state(scenario), "ret", "ref")
-    calib, _, _ = _difference_from_state(
-        _hr_state(scenario.with_(theta=0.0)), "ret", "ref"
-    )
-    if calib == 0.0:
-        raise CalibrationError("HR cosine amplitude is zero (no cross correlation)")
-    return ReceiverStats(
-        mean,
-        var,
-        calib,
-        scenario.theta,
-        ProtocolVariant.CLASSICAL_THERMAL,
-        scenario,
-        arms,
-    )
-
-
-def receiver_stats(scenario: SensingScenario, variant: ProtocolVariant) -> ReceiverStats:
-    if variant is ProtocolVariant.ENTANGLED:
-        return pcr_stats(scenario)
-    if variant is ProtocolVariant.CLASSICAL_THERMAL:
-        return hr_stats(scenario)
-    raise ValueError(f"no receiver model for variant {variant}")
+    return receiver_stats(scenario, ProtocolVariant.CLASSICAL_THERMAL)
 
 
 def cosine_estimator(
@@ -116,7 +101,7 @@ def cosine_estimator(
     return cos_hat, theta_hat
 
 
-def theory_mse(stats: ReceiverStats, m_pairs: int, theta: float | None = None) -> tuple[float, float]:
+def theory_mse(stats: ReceiverStats, m_pairs: int) -> tuple[float, float]:
     """(var_cos, var_theta) of the estimators built from M i.i.d. mode
     pairs.  var_theta comes from the delta method and is singular at
     theta in {0, pi}; it degrades already for |sin theta| < 0.1."""
@@ -124,8 +109,7 @@ def theory_mse(stats: ReceiverStats, m_pairs: int, theta: float | None = None) -
         raise ValueError("need at least one mode pair")
     if stats.calib_scale == 0.0:
         raise CalibrationError("zero calibration amplitude")
-    theta = stats.theta if theta is None else theta
-    s = math.sin(theta)
+    s = math.sin(stats.scenario.theta)
     if s == 0.0:
         raise ValueError("delta method is singular at theta = 0 or pi")
     var_cos = stats.var_diff / (m_pairs * stats.calib_scale**2)

@@ -116,12 +116,6 @@ def test_pe_method_switches_at_large_counts():
     assert big.method == "gaussian_approx"
 
 
-def test_window_count_multiplies_modes():
-    a = pe_optimal_counting(1.0, 2.0, 6, window_count=1)
-    b = pe_optimal_counting(1.0, 2.0, 2, window_count=3)
-    assert a.pe == pytest.approx(b.pe, rel=1e-12)
-
-
 @pytest.mark.parametrize("target", [1e-5, 2e-4, 1e-2])
 def test_solve_ns_round_trip(target):
     sc = SensingScenario(N_S=1e-6)

@@ -96,6 +96,23 @@ def test_sweep_failing_point_sets_exit_code(tmp_path):
     assert len(kept) == 1 + 3
 
 
+def test_sweep_failing_bounds_fail_only_their_points(tmp_path):
+    # N_B = 0: the relative entropy against a vacuum null state is infinite
+    res = CliRunner().invoke(
+        main,
+        ["sweep", *FAST, "--set", 'grid={"N_B":[0.0,160.0]}',
+         "--out", str(tmp_path / "s.csv")],
+    )
+    assert res.exit_code == 1
+    failed = [l for l in res.stderr.splitlines() if l.startswith("FAILED")]
+    assert len(failed) == 2
+    assert all(l.startswith("FAILED N_B=0 variant=") for l in failed)
+    lines = [l for l in (tmp_path / "s.csv").read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    assert [float(r["N_B"]) for r in rows] == [160.0, 160.0]
+
+
 def test_fig5_has_schedule_columns(tmp_path):
     res = run(["fig5", *FAST, "--set", "t_grid=[0.0625,4.0]",
                "--set", 'variants=["entangled"]', "--out", str(tmp_path / "f5.csv")])

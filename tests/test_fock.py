@@ -119,22 +119,6 @@ def test_fock_rel_entropy_thermal_closed_form():
     )
 
 
-def test_trace_distance_bounds_and_identity():
-    a, b = f.thermal_fock(0.3, 30), f.thermal_fock(0.9, 30)
-    td = f.fock_trace_distance(a, b)
-    assert 0.0 < td < 1.0
-    assert f.fock_trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
-    # Fuchs-van de Graaf: 1 - F <= T <= sqrt(1 - F^2)
-    fid = f.fock_fidelity(a, b)
-    assert 1.0 - fid - 1e-9 <= td <= math.sqrt(1.0 - fid**2) + 1e-9
-
-
-def test_partial_trace_of_product():
-    st = f.product_fock(f.thermal_fock(0.4, 12), f.thermal_fock(1.0, 32))
-    reduced = f.fock_partial_trace(st, (1,))
-    assert f.fock_photon_mean(reduced, 0) == pytest.approx(1.0, rel=1e-6)
-
-
 def test_dimension_guard():
     with pytest.raises(f.TruncationError):
         f.vacuum_fock((100, 100))

@@ -135,6 +135,23 @@ def test_passive_ops_preserve_total_energy(n_a, n_b, eta, theta):
 
 
 @settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.0, 2.0 * math.pi),
+    eta=st.floats(0.0, 1.0),
+    gain=st.floats(1.0, 50.0),
+)
+def test_gate_matrices_are_symplectic(theta, eta, gain):
+    for S in (
+        g.phase_symplectic(theta),
+        g.beamsplitter_symplectic(eta),
+        g.two_mode_squeeze_symplectic(gain),
+    ):
+        om = g.omega(S.shape[0] // 2)
+        defect = np.linalg.norm(S @ om @ S.T - om)
+        assert defect <= 1e-9 * max(1.0, np.linalg.norm(S) ** 2)
+
+
+@settings(max_examples=25, deadline=None)
 @given(n=st.floats(0.0, 5.0), gain=st.floats(1.0, 4.0))
 def test_uncertainty_principle_survives_active_ops(n, gain):
     state = g.tensor(g.thermal(n, "a"), g.vacuum(("b",)))

@@ -86,9 +86,9 @@ def test_theory_mse_scales_inverse_m():
 
 
 def test_theory_mse_singular_at_theta_zero():
-    st = pcr_stats(DESK.with_(theta=1e-9))
+    st = pcr_stats(DESK.with_(theta=0.0))
     with pytest.raises(ValueError):
-        theory_mse(st, 100, theta=0.0)
+        theory_mse(st, 100)
 
 
 def test_entangled_beats_classical_at_reference_point():

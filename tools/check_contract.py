@@ -1,0 +1,86 @@
+"""Check that two source trees write byte-identical benchmark outputs.
+
+    python3 tools/check_contract.py PARENT_TREE CHANGE_TREE
+
+Every job of the ``figures``, ``design_sweep``, ``bounds_scan`` and
+``oracle_check`` workloads, at seeds 1 and 7, is run once from each tree
+through that tree's own ``bench/child.py``, with ``PYTHONPATH`` set to the
+tree's ``src``.  The jobs and input files come from each tree's
+``bench/workloads.py`` (``workloads.build(name, seed).jobs``).  One line
+per output file says SAME or DIFF.  The exit code is 1 if any file differs
+or any job exits nonzero, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("figures", "design_sweep", "bounds_scan", "oracle_check")
+SEEDS = (1, 7)
+
+
+def _workloads_module(tree: Path, side: str):
+    path = tree / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(f"workloads_{side}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_tree(tree: Path, side: str, workdir: Path) -> tuple[dict[str, bytes | None], list[str]]:
+    """Run every contract job from one tree; returns {file key: bytes} and
+    a description of each job that exited nonzero."""
+    workloads = _workloads_module(tree, side)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    outputs: dict[str, bytes | None] = {}
+    errors: list[str] = []
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            wl = workloads.build(name, seed)
+            jobdir = workdir / f"{name}-{seed}"
+            workloads.write_inputs(wl, jobdir)
+            for job in wl.jobs:
+                out = jobdir / f"{job.name}.out"
+                args = [*job.args, "--out", str(out)] if job.mode == "cli" else [*job.args, str(out)]
+                argv = [sys.executable, str(tree / "bench" / "child.py"),
+                        str(jobdir / f"{job.name}.report.json"), "0", job.mode, *args]
+                proc = subprocess.run(argv, cwd=jobdir, env=env, stdin=subprocess.DEVNULL,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                key = f"{name} seed={seed} {job.name}"
+                if proc.returncode != 0:
+                    tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+                    errors.append(f"{key}: exit {proc.returncode} {' '.join(tail)}")
+                outputs[key] = out.read_bytes() if out.exists() else None
+    return outputs, errors
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: check_contract.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        before, errors_before = run_tree(parent, "parent", Path(tmp) / "parent")
+        after, errors_after = run_tree(change, "change", Path(tmp) / "change")
+    diff = 0
+    for key in sorted(before.keys() | after.keys()):
+        a, b = before.get(key), after.get(key)
+        same = a is not None and a == b
+        diff += not same
+        print(f"{'SAME' if same else 'DIFF'} {key}")
+    for side, errors in (("parent", errors_before), ("change", errors_after)):
+        for err in errors:
+            print(f"ERROR {side} {err}")
+    print(f"{len(before.keys() | after.keys()) - diff} SAME, {diff} DIFF, "
+          f"{len(errors_before) + len(errors_after)} job errors")
+    return 1 if diff or errors_before or errors_after else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
