@@ -11,6 +11,19 @@ Every bound here compares thermal states, which is what Willie sees for
 the thermal-arm probes (`entangled` and `classical_thermal`).  The
 `coherent_baseline` signal arm is a displaced vacuum, so Willie sees a
 displaced thermal state, and epsilon and pe_exact are not its bounds.
+
+Willie's counting test evaluates its tail probabilities with SciPy's
+ufuncs directly: ``scipy.special._ufuncs._nbinom_sf``/``_nbinom_cdf`` for
+the exact negative-binomial count and ``scipy.special.ndtr`` for its
+Gaussian (CLT) approximation.  The four ``_nbinom_*``/``_norm_*`` helpers
+below return what SciPy's generic ``stats.nbinom``/``stats.norm`` wrappers
+return (argument checks, support edges, clipping) without their per-call
+array and mask set-up, and without importing SciPy's statistics package.
+The public ``scipy.special.nbdtr``/``nbdtrc`` are not used: they differ
+from ``stats.nbinom`` in the last bit on most inputs.  The guard test in
+``tests/test_adversary.py`` compares every helper bit for bit with the
+``stats`` wrappers, so a SciPy upgrade that moves or changes a ufunc
+fails there.
 """
 
 from __future__ import annotations
@@ -19,8 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.stats import nbinom, norm
+from scipy.special import _ufuncs, ndtr
 
 from .protocol import SensingScenario, willie_brightnesses
 
@@ -139,10 +153,51 @@ def pe_lower_bound(n0: float, n1: float, m_copies: int) -> float:
     return 0.5 * (1.0 - math.sqrt(max(0.0, one_minus_f2m)))
 
 
+def _nbinom_valid(k: float, n: float, p: float) -> bool:
+    return n > 0 and 0.0 < p <= 1.0 and not math.isnan(k)
+
+
+def _nbinom_sf(k: float, n: float, p: float) -> np.float64:
+    """SciPy's ``stats.nbinom.sf(k, n, p)`` at a finite or NaN count k."""
+    if not _nbinom_valid(k, n, p):
+        return np.float64(math.nan)
+    if k < 0:
+        return np.float64(1.0)
+    return np.clip(_ufuncs._nbinom_sf(np.floor(k), n, p), 0.0, 1.0)
+
+
+def _nbinom_cdf(k: float, n: float, p: float) -> np.float64:
+    """SciPy's ``stats.nbinom.cdf(k, n, p)`` at a finite or NaN count k."""
+    if not _nbinom_valid(k, n, p):
+        return np.float64(math.nan)
+    if k < 0:
+        return np.float64(0.0)
+    return np.clip(_ufuncs._nbinom_cdf(np.floor(k), n, p), 0.0, 1.0)
+
+
+def _norm_sf(x: float, mu: float, s: float) -> np.float64:
+    """SciPy's ``stats.norm.sf(x, mu, s)``; NaN unless s > 0."""
+    if not s > 0.0:
+        return np.float64(math.nan)
+    return ndtr(-((x - mu) / s))
+
+
+def _norm_cdf(x: float, mu: float, s: float) -> np.float64:
+    """SciPy's ``stats.norm.cdf(x, mu, s)``; NaN unless s > 0."""
+    if not s > 0.0:
+        return np.float64(math.nan)
+    return ndtr((x - mu) / s)
+
+
 def _pe_threshold_exact(n0: float, n1: float, m: int) -> DetectionTest:
     """Exact Bayes-optimal threshold test on the negative-binomial total
     count; the likelihood ratio is monotone so only the crossing threshold
-    and its neighbors need checking."""
+    and its neighbors need checking.
+
+    The tails come from the private ufuncs
+    ``scipy.special._ufuncs._nbinom_sf``/``_nbinom_cdf``, which match
+    ``stats.nbinom`` bit for bit where the public ``nbdtrc``/``nbdtr`` do
+    not; the guard test in ``tests/test_adversary.py`` checks this."""
     p0, p1 = 1.0 / (n0 + 1.0), 1.0 / (n1 + 1.0)
     if n0 == 0.0:
         # any nonzero count certifies the probe
@@ -158,19 +213,26 @@ def _pe_threshold_exact(n0: float, n1: float, m: int) -> DetectionTest:
     best_t, best_pe = 0, 0.5
     for t in candidates:
         # decide H1 iff count >= t
-        pe = 0.5 * (nbinom.sf(t - 1, m, p0) + nbinom.cdf(t - 1, m, p1))
+        pe = 0.5 * (_nbinom_sf(t - 1, m, p0) + _nbinom_cdf(t - 1, m, p1))
         if pe < best_pe:
             best_t, best_pe = t, pe
     return DetectionTest(threshold=best_t, pe=min(best_pe, 0.5), method="exact_threshold")
 
 
 def _pe_threshold_gaussian(n0: float, n1: float, m: int) -> DetectionTest:
+    """Gaussian (CLT) approximation of the threshold test, minimized over a
+    continuous threshold between the two means.
+
+    The tails are ``scipy.special.ndtr`` of the standardized threshold,
+    as ``stats.norm`` computes them; a zero spread (n0 = 0) gives NaN, as
+    it does there.  The guard test in ``tests/test_adversary.py`` checks
+    the helpers against ``stats.norm``."""
     mu0, mu1 = m * n0, m * n1
     s0 = math.sqrt(m * n0 * (n0 + 1.0))
     s1 = math.sqrt(m * n1 * (n1 + 1.0))
 
     def pe_at(t: float) -> float:
-        return 0.5 * (norm.sf(t, mu0, s0) + norm.cdf(t, mu1, s1))
+        return 0.5 * (_norm_sf(t, mu0, s0) + _norm_cdf(t, mu1, s1))
 
     res = minimize_scalar(pe_at, bounds=(mu0, mu1), method="bounded")
     pe = min(float(res.fun), 0.5)

@@ -100,6 +100,47 @@ def test_pe_optimal_counting_threshold_is_truly_optimal():
     assert pe_optimal_counting(n0, n1, m).pe == pytest.approx(brute, rel=1e-12)
 
 
+def _tail_draws():
+    """Seeded (M, n0, n1, t) draws over the range the counting test sees,
+    as the exact path's (k, n, p0, p1) and the CLT path's (x, mu, s)."""
+    rng = np.random.default_rng(8626)
+    size = 2000
+    m = np.floor(10 ** rng.uniform(0.0, 9.6, size))
+    n0 = 10 ** rng.uniform(-4.0, 3.2, size)
+    n1 = n0 * (1.0 + 10 ** rng.uniform(-8.0, 0.5, size))
+    t = np.floor(m * (n0 + rng.uniform(0.0, 1.0, size) * (n1 - n0)))
+    t += rng.integers(-1, 3, size)
+    nb = [(int(ti) - 1, int(mi), 1 / (a + 1), 1 / (b + 1)) for ti, mi, a, b in zip(t, m, n0, n1)]
+    nb += [(-1, 5, 0.4, 0.3), (3, 5, 1.0, 1.0), (3, 0, 0.4, 0.3), (3, -2, 0.4, 0.3),
+           (math.nan, 5, 0.4, 0.3), (3, 5, 0.0, 1.5), (0, 1, 0.5, 0.5)]
+    norm_args = [(float(ti), mi * a, math.sqrt(mi * a * (a + 1))) for ti, mi, a in zip(t, m, n0)]
+    norm_args += [(5.0, 5.0, 2.0), (5.0, 2.0, 0.0), (5.0, 5.0, 0.0), (5.0, 2.0, -1.0),
+                  (math.nan, 2.0, 1.0), (0.0, 0.0, 1e-300)]
+    return nb, norm_args
+
+
+def test_tail_helpers_match_scipy_stats_bit_for_bit():
+    # the private ufuncs behind the counting test must reproduce the generic
+    # scipy.stats wrappers exactly; a scipy upgrade that breaks this fails here
+    from scipy.stats import nbinom, norm
+
+    from covertsense.adversary import _nbinom_cdf, _nbinom_sf, _norm_cdf, _norm_sf
+
+    nb, norm_args = _tail_draws()
+    cases = [
+        (_nbinom_sf, nbinom.sf, [(k, n, p0) for k, n, p0, _ in nb]),
+        (_nbinom_cdf, nbinom.cdf, [(k, n, p1) for k, n, _, p1 in nb]),
+        (_norm_sf, norm.sf, norm_args),
+        (_norm_cdf, norm.cdf, norm_args),
+    ]
+    for helper, reference, draws in cases:
+        with np.errstate(divide="ignore", invalid="ignore"):  # the s <= 0 edges
+            expected = reference(*(np.array(col, dtype=float) for col in zip(*draws)))
+        got = [helper(*args) for args in draws]
+        assert all(type(v) is np.float64 for v in got), helper.__name__
+        assert [v.hex() for v in got] == [float(v).hex() for v in expected], helper.__name__
+
+
 def test_pe_gaussian_approx_agrees_near_switchover():
     n0, n1 = 1.0, 1.01
     m = 900_000  # m * n1 just below the exact-summation limit

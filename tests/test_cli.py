@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 from click.testing import CliRunner
 
+import covertsense
 from covertsense.cli import main
 
 THETA3 = "[0.6283185307179586,1.5707963267948966,2.5132741228718345]"
@@ -130,3 +135,14 @@ def test_fig4_regime_rows(tmp_path):
     lines = [l for l in (tmp_path / "f4.csv").read_text().splitlines() if not l.startswith("#")]
     regimes = {row.split(",")[0] for row in lines[1:]}
     assert regimes == {"fixed_covertness", "fixed_power"}
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # every CLI process pays for what the package imports; the counting test
+    # needs scipy.special ufuncs only
+    src = str(Path(covertsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import covertsense.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

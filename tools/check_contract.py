@@ -7,8 +7,18 @@ Every job of the ``figures``, ``design_sweep``, ``bounds_scan`` and
 through that tree's own ``bench/child.py``, with ``PYTHONPATH`` set to the
 tree's ``src``.  The jobs and input files come from each tree's
 ``bench/workloads.py`` (``workloads.build(name, seed).jobs``).  One line
-per output file says SAME or DIFF.  The exit code is 1 if any file differs
-or any job exits nonzero, and 0 otherwise.
+per output file says SAME or DIFF.
+
+A fixed list of CLI invocations (``EDGE_INVOCATIONS``: a zero
+background, the CLT branch at a zero background, a zero probe, a time
+grid below one mode, and ``qcrb`` at its defaults) is also run from each
+tree with ``python -m covertsense.cli``.  These may fail by design, so each gets one SAME or
+DIFF line over four things: the exit code, the output file's bytes (or its
+absence), the ``FAILED ...`` lines on stderr, and the last stderr line.
+Whole tracebacks are not compared, since they hold the tree's paths.
+
+The exit code is 1 if any file or edge invocation differs or any workload
+job exits nonzero, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +32,15 @@ from pathlib import Path
 
 WORKLOADS = ("figures", "design_sweep", "bounds_scan", "oracle_check")
 SEEDS = (1, 7)
+EDGE_INVOCATIONS = (
+    ("covertness", "--set", "grid.N_B=[0,160]"),
+    ("sweep", "--set", "grid.N_B=[0,160]"),
+    ("covertness", "--set", "scenario.N_B=0", "--set", "scenario.T=1"),
+    ("covertness", "--set", "grid.N_S=[0,1e-3]"),
+    ("qcrb",),
+    ("fig5", "--set", "t_grid=[1e-12,0.0625]"),
+)
+EDGE_PARTS = ("exit code", "output bytes", "FAILED lines", "last stderr line")
 
 
 def _workloads_module(tree: Path, side: str):
@@ -60,6 +79,27 @@ def run_tree(tree: Path, side: str, workdir: Path) -> tuple[dict[str, bytes | No
     return outputs, errors
 
 
+def run_edges(tree: Path, workdir: Path) -> dict[str, tuple]:
+    """Run every edge invocation from one tree; returns {invocation: the
+    EDGE_PARTS values}."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    workdir.mkdir(parents=True)
+    results = {}
+    for i, args in enumerate(EDGE_INVOCATIONS):
+        out = workdir / f"edge{i}.out"
+        proc = subprocess.run([sys.executable, "-m", "covertsense.cli", *args, "--out", str(out)],
+                              cwd=workdir, env=env, stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        lines = proc.stderr.decode(errors="replace").splitlines()
+        results[" ".join(args)] = (
+            proc.returncode,
+            out.read_bytes() if out.exists() else None,
+            [line for line in lines if line.startswith("FAILED ")],
+            lines[-1] if lines else "",
+        )
+    return results
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: check_contract.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
@@ -68,16 +108,23 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         before, errors_before = run_tree(parent, "parent", Path(tmp) / "parent")
         after, errors_after = run_tree(change, "change", Path(tmp) / "change")
+        edges_before = run_edges(parent, Path(tmp) / "parent-edges")
+        edges_after = run_edges(change, Path(tmp) / "change-edges")
     diff = 0
     for key in sorted(before.keys() | after.keys()):
         a, b = before.get(key), after.get(key)
         same = a is not None and a == b
         diff += not same
         print(f"{'SAME' if same else 'DIFF'} {key}")
+    for key, a in edges_before.items():
+        differ = [part for part, x, y in zip(EDGE_PARTS, a, edges_after[key]) if x != y]
+        diff += bool(differ)
+        print(f"DIFF edge {key}: {', '.join(differ)}" if differ else f"SAME edge {key}")
     for side, errors in (("parent", errors_before), ("change", errors_after)):
         for err in errors:
             print(f"ERROR {side} {err}")
-    print(f"{len(before.keys() | after.keys()) - diff} SAME, {diff} DIFF, "
+    checked = len(before.keys() | after.keys()) + len(edges_before)
+    print(f"{checked - diff} SAME, {diff} DIFF, "
           f"{len(errors_before) + len(errors_after)} job errors")
     return 1 if diff or errors_before or errors_after else 0
 
