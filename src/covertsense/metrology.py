@@ -7,7 +7,11 @@ Braunstein and Pirandola (PRL 115, 260501), in the square-root convention
 F(pure, pure) = |<psi|phi>|.  The finite-difference QFI needs the fidelity
 of two nearly identical states resolved far below double precision
 (1 - F can be ~1e-14 at operating points of interest), so the QFI path
-evaluates the same formula in multi-precision arithmetic.
+evaluates the same formula in multi-precision arithmetic.  There its
+determinant comes in product form from the symplectic spectrum of the
+auxiliary matrix, det(sqrt(m) + I) = prod_k (1 + sqrt(mu_k))^2, read off
+tr m and det m for the 1- and 2-mode states every caller builds, with no
+matrix square root (see _fidelity_mp).
 """
 
 from __future__ import annotations
@@ -66,9 +70,20 @@ def gaussian_fidelity(state_a: GaussianState, state_b: GaussianState) -> float:
 
 
 def _fidelity_mp(state_a: GaussianState, state_b: GaussianState) -> mp.mpf:
-    """Same formula in multi-precision arithmetic; returns an mpf so the
-    caller can subtract from 1 without cancellation."""
+    """Same formula in multi-precision arithmetic, for 1- or 2-mode states;
+    returns an mpf so the caller can subtract from 1 without cancellation.
+
+    The determinant det(2 (sqrt(m) + I) Vaux), m = I + (Vaux Omega)^-2 / 4,
+    is taken from the symplectic spectrum instead of a matrix square root:
+    Vaux Omega has eigenvalues +-i nu_k, so m has eigenvalues
+    mu_k = 1 - 1/(4 nu_k^2), each twice, and det(sqrt(m) + I) =
+    prod_k (1 + sqrt(mu_k))^2.  The product is read off tr m and det m
+    without solving for the mu_k, which would lose half the digits where
+    nu_1 = nu_2.  tests/test_metrology.py keeps the matrix-square-root form
+    as the reference this must match bit for bit in qfi_phase."""
     n = state_a.n_modes
+    if n not in (1, 2):
+        raise ValueError(f"multi-precision fidelity supports 1 or 2 modes, not {n} modes")
     with mp.workdps(QFI_PRECISION_DPS):
         om = mp.matrix(omega(n).tolist())
         sig1 = mp.matrix(state_a.cov.tolist()) / 2
@@ -76,10 +91,15 @@ def _fidelity_mp(state_a: GaussianState, state_b: GaussianState) -> mp.mpf:
         sig_sum = sig1 + sig2
         vaux = om.T * (sig_sum**-1) * (om / 4 + sig2 * om * sig1)
         w = vaux * om
-        eye = mp.eye(2 * n)
-        m = eye + (w**-1) ** 2 / 4
-        ftot4 = mp.det(2 * (mp.sqrtm(m) + eye) * vaux)
-        f0 = (mp.re(ftot4) / mp.det(sig_sum)) ** mp.mpf("0.25")
+        m = mp.eye(2 * n) + (w**-1) ** 2 / 4
+        # mu_1 + mu_2 = tr m / 2 and sqrt(mu_1 mu_2) = (det m)^(1/4); one mode
+        # has mu_2 = 0.  At a pure mode mu_k = 0, so det m and the radicand
+        # can round to tiny negative numbers: clamp both at 0.
+        mu_sum = sum(m[i, i] for i in range(2 * n)) / 2
+        mu_geo = max(mp.det(m), 0) ** mp.mpf("0.25") if n == 2 else mp.mpf(0)
+        prod = 1 + mu_geo + mp.sqrt(max(mu_sum + 2 * mu_geo, 0))
+        ftot4 = 4**n * mp.det(vaux) * prod**2
+        f0 = (ftot4 / mp.det(sig_sum)) ** mp.mpf("0.25")
         delta = mp.matrix([float(state_b.mean[i] - state_a.mean[i]) for i in range(2 * n)])
         vs = mp.matrix((state_a.cov + state_b.cov).tolist())
         expo = -(delta.T * (vs**-1) * delta)[0] / 4

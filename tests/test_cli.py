@@ -86,6 +86,16 @@ def test_qcrb_zero_probe_row(tmp_path):
     assert row["qcrb"] == "inf"
 
 
+def test_qcrb_zero_background_rows(tmp_path):
+    res = run(["qcrb", "--set", "scenario.N_B=0", "--out", str(tmp_path / "q.csv")])
+    assert res.exit_code == 0
+    lines = [l for l in (tmp_path / "q.csv").read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["variant"] for r in rows] == ["entangled", "classical_thermal"]
+    assert all(float(r["J"]) > 0.0 for r in rows)
+
+
 def test_sweep_failing_point_sets_exit_code(tmp_path):
     # W*T = 1 mode: the CLT guard refuses this point, the other succeeds
     res = CliRunner().invoke(

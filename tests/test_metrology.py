@@ -1,17 +1,22 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from covertsense import gaussian as g
+from covertsense import metrology
 from covertsense.metrology import (
+    QFI_PRECISION_DPS,
     gaussian_fidelity,
     qfi_of_family,
     qfi_phase,
     receiver_fisher,
 )
 from covertsense.protocol import ProtocolVariant, SensingScenario, tmsv
-from covertsense.receivers import pcr_stats
+from covertsense.receivers import pcr_stats, receiver_stats
+
+QCRB_VARIANTS = (ProtocolVariant.ENTANGLED, ProtocolVariant.CLASSICAL_THERMAL)
 
 
 def coherent(alpha_sq: float, phase: float = 0.0) -> g.GaussianState:
@@ -121,3 +126,79 @@ def test_receiver_never_beats_qcrb():
     j_rec = receiver_fisher(stats, sc.theta)
     j_q = qfi_phase(sc, ProtocolVariant.ENTANGLED).J
     assert j_rec <= j_q * (1.0 + 1e-6)
+
+
+def test_qfi_zero_background():
+    # N_B = 0 leaves pure modes in the receiver input; the weak-probe laws
+    # above still hold there
+    sc = SensingScenario(N_B=0.0)
+    laws = {
+        ProtocolVariant.ENTANGLED: 4 * sc.kappa * sc.N_S * (sc.N_S + 1),
+        ProtocolVariant.CLASSICAL_THERMAL: 4 * sc.kappa * sc.N_S,
+    }
+    for variant in QCRB_VARIANTS:
+        res = qfi_phase(sc, variant)
+        assert math.isfinite(res.J)
+        assert res.J == pytest.approx(laws[variant], rel=0.02)
+        assert receiver_fisher(receiver_stats(sc, variant), sc.theta) <= res.J
+
+
+def test_qfi_rejects_three_modes():
+    def family(theta):
+        return g.apply_phase(g.vacuum(("a", "b", "c")), "a", theta)
+
+    with pytest.raises(ValueError, match="3 modes"):
+        qfi_of_family(family, 0.5)
+
+
+def fidelity_mp_sqrtm(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
+    """Reference for metrology._fidelity_mp: the Banchi-Braunstein-Pirandola
+    fidelity with det(2 (sqrt(m) + I) Vaux) taken through mp.sqrtm."""
+    n = state_a.n_modes
+    with mp.workdps(QFI_PRECISION_DPS):
+        om = mp.matrix(g.omega(n).tolist())
+        sig1 = mp.matrix(state_a.cov.tolist()) / 2
+        sig2 = mp.matrix(state_b.cov.tolist()) / 2
+        sig_sum = sig1 + sig2
+        vaux = om.T * (sig_sum**-1) * (om / 4 + sig2 * om * sig1)
+        w = vaux * om
+        eye = mp.eye(2 * n)
+        m = eye + (w**-1) ** 2 / 4
+        ftot4 = mp.det(2 * (mp.sqrtm(m) + eye) * vaux)
+        f0 = (mp.re(ftot4) / mp.det(sig_sum)) ** mp.mpf("0.25")
+        delta = mp.matrix([float(state_b.mean[i] - state_a.mean[i]) for i in range(2 * n)])
+        vs = mp.matrix((state_a.cov + state_b.cov).tolist())
+        expo = -(delta.T * (vs**-1) * delta)[0] / 4
+        return f0 * mp.e**expo
+
+
+def _reference_cases():
+    rng = np.random.default_rng(20151221)
+    cases = []
+    for variant in ProtocolVariant:
+        for _ in range(4):
+            sc = SensingScenario(
+                N_S=10 ** rng.uniform(-6, math.log10(5)),
+                N_B=10 ** rng.uniform(-3, 4),
+                kappa_T=10 ** rng.uniform(-2, 0),
+                kappa_E=10 ** rng.uniform(-2, 0),
+                kappa_I=10 ** rng.uniform(-2, 0),
+                theta=rng.uniform(0, 2 * math.pi),
+                N_R=10 ** rng.uniform(-3, 5),
+            )
+            cases.append((sc, variant))
+    fig3 = SensingScenario(theta=round(0.1 * math.pi, 12))
+    fig4 = SensingScenario(N_B=1280.0)
+    cases += [(sc, v) for sc in (fig3, fig4) for v in QCRB_VARIANTS]
+    return cases
+
+
+def test_qfi_matches_sqrtm_reference_bit_for_bit(monkeypatch):
+    def bits(res):
+        return res.J.hex(), res.qcrb_var.hex(), res.richardson_error.hex()
+
+    cases = _reference_cases()
+    fast = [bits(qfi_phase(sc, v)) for sc, v in cases]
+    monkeypatch.setattr(metrology, "_fidelity_mp", fidelity_mp_sqrtm)
+    reference = [bits(qfi_phase(sc, v)) for sc, v in cases]
+    assert fast == reference

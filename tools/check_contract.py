@@ -11,8 +11,9 @@ per output file says SAME or DIFF.
 
 A fixed list of CLI invocations (``EDGE_INVOCATIONS``: a zero
 background, the CLT branch at a zero background, a zero probe, a time
-grid below one mode, and ``qcrb`` at its defaults) is also run from each
-tree with ``python -m covertsense.cli``.  These may fail by design, so each gets one SAME or
+grid below one mode, ``qcrb`` at its defaults, and ``qcrb`` over a grid
+from N_B = 1e-3 to 1280) is also run from each tree with
+``python -m covertsense.cli``.  These may fail by design, so each gets one SAME or
 DIFF line over four things: the exit code, the output file's bytes (or its
 absence), the ``FAILED ...`` lines on stderr, and the last stderr line.
 Whole tracebacks are not compared, since they hold the tree's paths.
@@ -38,6 +39,7 @@ EDGE_INVOCATIONS = (
     ("covertness", "--set", "scenario.N_B=0", "--set", "scenario.T=1"),
     ("covertness", "--set", "grid.N_S=[0,1e-3]"),
     ("qcrb",),
+    ("qcrb", "--set", 'grid={"N_B":[0.001,0.01,40,1280],"theta":[0.3,2.5],"N_S":[1e-4,0.1]}'),
     ("fig5", "--set", "t_grid=[1e-12,0.0625]"),
 )
 EDGE_PARTS = ("exit code", "output bytes", "FAILED lines", "last stderr line")
