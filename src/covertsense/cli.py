@@ -145,7 +145,7 @@ def _run_points(
         try:
             rows.append(thunk())
         except Exception as exc:  # noqa: BLE001 - enumerate, don't abort the sweep
-            failures.append((label, str(exc)))
+            failures.append((label, str(exc) or type(exc).__name__))
     return rows, failures
 
 

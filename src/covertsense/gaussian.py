@@ -10,10 +10,14 @@ Conventions (fixed once, tested everywhere):
   ``V_i`` is the mode's 2x2 covariance block and ``m_i`` its mean.
 
 All operations are pure: they return new states and never mutate inputs.
+Every `GaussianState` is validated on construction (symmetry and the
+uncertainty relation), gate outputs included, so no operation can hand
+back an unphysical intermediate state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,11 +44,19 @@ def omega(n_modes: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _i_omega(n_modes: int) -> np.ndarray:
+    """Read-only i*omega(n), the constant of every state validation."""
+    out = 1j * omega(n_modes)
+    out.flags.writeable = False
+    return out
+
+
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix (each value >= 1 for
     a physical state in the vacuum-variance-1 convention)."""
     n = cov.shape[0] // 2
-    eigs = np.linalg.eigvals(1j * omega(n) @ cov)
+    eigs = np.linalg.eigvals(_i_omega(n) @ cov)
     return np.sort(np.abs(eigs))[::2]  # each value appears as a +/- pair
 
 
@@ -69,7 +81,7 @@ class GaussianState:
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
             raise StateError("covariance matrix is not symmetric")
-        herm = cov + 1j * omega(n)
+        herm = cov + _i_omega(n)
         min_eig = float(np.min(np.linalg.eigvalsh(herm)))
         if min_eig < -UNCERTAINTY_TOL * scale:
             raise StateError(
@@ -128,14 +140,11 @@ def append_vacuum(state: GaussianState, label: str) -> GaussianState:
 
 def _gate(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> GaussianState:
     """Apply a symplectic acting on `labels`, expanded to the full mode set."""
-    n = state.n_modes
-    S = np.eye(2 * n)
-    idx = []
-    for lab in labels:
-        i = 2 * state.mode_index(lab)
-        idx.extend([i, i + 1])
-    idx = np.array(idx)
-    S[np.ix_(idx, idx)] = small
+    S = np.eye(2 * state.n_modes)
+    starts = [2 * state.mode_index(lab) for lab in labels]
+    for a, i in enumerate(starts):
+        for b, j in enumerate(starts):
+            S[i : i + 2, j : j + 2] = small[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
     return GaussianState(state.mode_labels, S @ state.mean, S @ state.cov @ S.T)
 
 
@@ -148,14 +157,19 @@ def phase_symplectic(theta: float) -> np.ndarray:
 def beamsplitter_symplectic(transmissivity: float) -> np.ndarray:
     """Two-mode beamsplitter: a -> sqrt(eta) a + sqrt(1-eta) b."""
     t, r = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
-    return np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
+    # the entries, signed zeros included, of [[t I, r I], [-r I, t I]]
+    return np.array(
+        [[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, -0.0, t, 0.0], [-0.0, -r, 0.0, t]]
+    )
 
 
 def two_mode_squeeze_symplectic(gain: float) -> np.ndarray:
     """Two-mode squeezer: a -> sqrt(G) a + sqrt(G-1) b^dagger."""
     g, h = np.sqrt(gain), np.sqrt(gain - 1.0)
-    Z = np.diag([1.0, -1.0])
-    return np.block([[g * np.eye(2), h * Z], [h * Z, g * np.eye(2)]])
+    # the entries, signed zeros included, of [[g I, h Z], [h Z, g I]], Z = diag(1, -1)
+    return np.array(
+        [[g, 0.0, h, 0.0], [0.0, g, 0.0, -h], [h, 0.0, g, 0.0], [0.0, -h, 0.0, g]]
+    )
 
 
 def apply_phase(state: GaussianState, mode: str, theta: float) -> GaussianState:

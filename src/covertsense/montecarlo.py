@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolVariant, SensingScenario
-from .receivers import ReceiverStats, cosine_estimator, receiver_stats, theory_mse
+from .receivers import ReceiverStats, _var_cos, cosine_estimator, receiver_stats, theory_mse
 from .metrology import qfi_phase
 
 CLT_GUARD_COUNTS = 100.0
@@ -122,7 +122,7 @@ def simulate(
     mse_cos = float(np.mean(cos_err**2))
     mse_theta = float(np.mean(th_err**2))
 
-    var_cos = stats.var_diff / (m * stats.calib_scale**2)
+    var_cos = _var_cos(stats, m)
     try:
         _, th_theory = theory_mse(stats, m)
     except ValueError:

@@ -97,7 +97,9 @@ def cosine_estimator(
         raise CalibrationError("cannot scale by a zero calibration amplitude")
     cos_hat = total_diff_counts / (m_pairs * stats.calib_scale)
     # math.acos, not np.arccos: the vectorised arccos can differ in the last bit.
-    theta_hat = np.array([math.acos(min(1.0, max(-1.0, c))) for c in cos_hat.tolist()])
+    # np.clip keeps a NaN where max(-1.0, nan) gave -1; the normal draws are finite.
+    clamped = np.clip(cos_hat, -1.0, 1.0).tolist()
+    theta_hat = np.fromiter(map(math.acos, clamped), np.float64, count=len(clamped))
     return cos_hat, theta_hat
 
 
@@ -112,5 +114,10 @@ def theory_mse(stats: ReceiverStats, m_pairs: int) -> tuple[float, float]:
     s = math.sin(stats.scenario.theta)
     if s == 0.0:
         raise ValueError("delta method is singular at theta = 0 or pi")
-    var_cos = stats.var_diff / (m_pairs * stats.calib_scale**2)
+    var_cos = _var_cos(stats, m_pairs)
     return var_cos, var_cos / s**2
+
+
+def _var_cos(stats: ReceiverStats, m_pairs: int) -> float:
+    """Variance of the cosine estimator from M i.i.d. mode pairs."""
+    return stats.var_diff / (m_pairs * stats.calib_scale**2)

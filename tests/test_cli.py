@@ -8,6 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 import covertsense
+from covertsense import cli
 from covertsense.cli import main
 
 THETA3 = "[0.6283185307179586,1.5707963267948966,2.5132741228718345]"
@@ -156,3 +157,16 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_failed_line_names_exception_without_message(tmp_path, monkeypatch):
+    def bare(*args, **kwargs):
+        raise RuntimeError()
+
+    monkeypatch.setattr(cli, "simulate", bare)
+    res = CliRunner().invoke(
+        main, ["sweep", *FAST, "--set", 'grid={"N_B":[160.0]}', "--out", str(tmp_path / "s.csv")]
+    )
+    assert res.exit_code == 1
+    failed = [l for l in res.stderr.splitlines() if l.startswith("FAILED")]
+    assert failed and all(l.endswith(": RuntimeError") for l in failed)

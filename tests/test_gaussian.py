@@ -157,3 +157,79 @@ def test_uncertainty_principle_survives_active_ops(n, gain):
     state = g.tensor(g.thermal(n, "a"), g.vacuum(("b",)))
     out = g.apply_two_mode_squeeze(state, "a", "b", gain)
     assert np.all(g.symplectic_eigenvalues(out.cov) >= 1.0 - 1e-9)
+
+
+# Reference bodies of the gate primitives as np.block / np.ix_ expressions;
+# the engine builds the same matrices entry by entry.
+def _beamsplitter_block(eta):
+    t, r = np.sqrt(eta), np.sqrt(1.0 - eta)
+    return np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
+
+
+def _two_mode_squeeze_block(gain):
+    g_, h = np.sqrt(gain), np.sqrt(gain - 1.0)
+    Z = np.diag([1.0, -1.0])
+    return np.block([[g_ * np.eye(2), h * Z], [h * Z, g_ * np.eye(2)]])
+
+
+def _gate_ix(state, labels, small):
+    S = np.eye(2 * state.n_modes)
+    idx = []
+    for lab in labels:
+        i = 2 * state.mode_index(lab)
+        idx.extend([i, i + 1])
+    idx = np.array(idx)
+    S[np.ix_(idx, idx)] = small
+    return g.GaussianState(state.mode_labels, S @ state.mean, S @ state.cov @ S.T)
+
+
+def _assert_bit_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_gate_matrices_match_block_reference_bit_for_bit():
+    rng = np.random.default_rng(15)
+    etas = [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 2000).tolist()]
+    gains = [1.0, *rng.uniform(1.0, 50.0, 2000).tolist()]
+    for eta in etas:
+        _assert_bit_identical(g.beamsplitter_symplectic(eta), _beamsplitter_block(eta))
+    for gain in gains:
+        _assert_bit_identical(
+            g.two_mode_squeeze_symplectic(gain), _two_mode_squeeze_block(gain)
+        )
+
+
+def test_gate_matches_ix_reference_on_reversed_non_adjacent_labels():
+    # idler, ret, conj: the PCR's beamsplitter acts on modes 2 and 0, in that order
+    state = g.tensor(
+        g.apply_two_mode_squeeze(g.tensor(g.thermal(0.3, "idler"), g.thermal(2.0, "ret")),
+                                 "idler", "ret", 1.7),
+        g.thermal(0.8, "conj"),
+    )
+    state = g.apply_phase(state, "ret", 0.4)
+    for labels, small in (
+        (["conj", "idler"], g.beamsplitter_symplectic(0.5)),
+        (["conj", "ret"], g.two_mode_squeeze_symplectic(1.3)),
+        (["ret"], g.phase_symplectic(2.1)),
+    ):
+        out, ref = g._gate(state, labels, small), _gate_ix(state, labels, small)
+        _assert_bit_identical(out.mean, ref.mean)
+        _assert_bit_identical(out.cov, ref.cov)
+    out = g.apply_beamsplitter(state, "conj", "idler", 0.5)
+    ref = _gate_ix(state, ["conj", "idler"], _beamsplitter_block(0.5))
+    _assert_bit_identical(out.cov, ref.cov)
+
+
+def test_gate_output_is_validated():
+    # 0.5 I is not symplectic: the vacuum goes to covariance 0.25 I
+    with pytest.raises(g.StateError):
+        g._gate(g.vacuum(("a", "b")), ["b", "a"], 0.5 * np.eye(4))
+
+
+def test_omega_returns_a_fresh_writable_array():
+    om = g.omega(2)
+    assert om.flags.writeable
+    om[0, 1] = 7.0
+    assert g.omega(2)[0, 1] == 1.0
