@@ -23,7 +23,6 @@ from .protocol import (
     ProtocolVariant,
     SensingScenario,
     build_receiver_input,
-    coherent_probe,
     split_thermal,
     tmsv,
     willie_brightnesses,
@@ -76,7 +75,6 @@ __all__ = [
     "ProtocolVariant",
     "SensingScenario",
     "build_receiver_input",
-    "coherent_probe",
     "split_thermal",
     "tmsv",
     "willie_brightnesses",

@@ -8,9 +8,8 @@ the operational guarantee P_e >= 1/2 - epsilon.  In the weak-probe,
 bright-background regime it scales as sqrt(M) N_S / N_B.
 
 Every bound here compares thermal states, which is what Willie sees for
-the thermal-arm probes (`entangled` and `classical_thermal`).  The
-`coherent_baseline` signal arm is a displaced vacuum, so Willie sees a
-displaced thermal state, and epsilon and pe_exact are not its bounds.
+both probes: the signal arm of the entangled and of the classical source
+is thermal with mean N_S.
 
 Willie's counting test evaluates its tail probabilities with SciPy's
 ufuncs directly: ``scipy.special._ufuncs._nbinom_sf``/``_nbinom_cdf`` for
@@ -111,9 +110,7 @@ def thermal_rel_entropy(n_a: float, n_b: float) -> float:
 
 
 def epsilon_of(scenario: SensingScenario) -> float:
-    """Covertness parameter via the relative-entropy/Pinsker route.
-
-    Willie's brightnesses are the same for both thermal-arm variants."""
+    """Covertness parameter via the relative-entropy/Pinsker route."""
     n0, n1 = willie_brightnesses(scenario)
     if n1 == n0:
         return 0.0
@@ -129,14 +126,6 @@ def _thermal_infidelity_gap(n0: float, n1: float) -> float:
         return 0.0
     s = (n1 - n0) / (math.sqrt(n1) + math.sqrt(n0))
     return s * s / (math.sqrt((n0 + 1.0) * (n1 + 1.0)) + math.sqrt(n0 * n1) + 1.0)
-
-
-def thermal_fidelity(n0: float, n1: float) -> float:
-    """Closed-form single-mode thermal-state fidelity (sqrt convention),
-    F = 1/(sqrt((n0+1)(n1+1)) - sqrt(n0 n1))."""
-    if n0 < 0 or n1 < 0:
-        raise ValueError("thermal means must be >= 0")
-    return 1.0 / (1.0 + _thermal_infidelity_gap(n0, n1))
 
 
 def pe_lower_bound(n0: float, n1: float, m_copies: int) -> float:
@@ -191,18 +180,14 @@ def _norm_cdf(x: float, mu: float, s: float) -> np.float64:
 
 def _pe_threshold_exact(n0: float, n1: float, m: int) -> DetectionTest:
     """Exact Bayes-optimal threshold test on the negative-binomial total
-    count; the likelihood ratio is monotone so only the crossing threshold
-    and its neighbors need checking.
+    count, for n0 > 0; the likelihood ratio is monotone so only the
+    crossing threshold and its neighbors need checking.
 
     The tails come from the private ufuncs
     ``scipy.special._ufuncs._nbinom_sf``/``_nbinom_cdf``, which match
     ``stats.nbinom`` bit for bit where the public ``nbdtrc``/``nbdtr`` do
     not; the guard test in ``tests/test_adversary.py`` checks this."""
     p0, p1 = 1.0 / (n0 + 1.0), 1.0 / (n1 + 1.0)
-    if n0 == 0.0:
-        # any nonzero count certifies the probe
-        pe = 0.5 * math.exp(m * math.log(p1))
-        return DetectionTest(threshold=1, pe=pe, method="exact_threshold")
     # LR(k) >= 1  <=>  k >= m * ln((n1+1)/(n0+1)) / ln(n1 (n0+1) / (n0 (n1+1)))
     t_star = m * math.log((n1 + 1.0) / (n0 + 1.0)) / math.log(
         (n1 * (n0 + 1.0)) / (n0 * (n1 + 1.0))
@@ -224,9 +209,9 @@ def _pe_threshold_gaussian(n0: float, n1: float, m: int) -> DetectionTest:
     continuous threshold between the two means.
 
     The tails are ``scipy.special.ndtr`` of the standardized threshold,
-    as ``stats.norm`` computes them; a zero spread (n0 = 0) gives NaN, as
-    it does there.  The guard test in ``tests/test_adversary.py`` checks
-    the helpers against ``stats.norm``."""
+    as ``stats.norm`` computes them; needs n0 > 0, since a zero spread
+    would give NaN, as it does there.  The guard test in
+    ``tests/test_adversary.py`` checks the helpers against ``stats.norm``."""
     mu0, mu1 = m * n0, m * n1
     s0 = math.sqrt(m * n0 * (n0 + 1.0))
     s1 = math.sqrt(m * n1 * (n1 + 1.0))
@@ -244,14 +229,19 @@ def pe_optimal_counting(n0: float, n1: float, m_copies: int) -> DetectionTest:
     counting with the Bayes-optimal threshold on the total count over M
     thermal modes.
 
-    Uses the exact negative-binomial summation while the expected count is
-    at most 1e6; beyond that a Gaussian (CLT) approximation takes over and
-    the result is flagged accordingly."""
+    At a zero background any nonzero count certifies the probe, so
+    P_e = p1^M / 2 exactly, at any M.  Otherwise the exact negative-binomial
+    summation runs while the expected count is at most 1e6; beyond that a
+    Gaussian (CLT) approximation takes over and the result is flagged
+    accordingly."""
     if not n1 > n0 >= 0.0:
         if n0 == n1:
             return DetectionTest(threshold=0, pe=0.5, method="exact_threshold")
         raise ValueError("need n1 > n0 >= 0")
     m = int(m_copies)
+    if n0 == 0.0:
+        pe = 0.5 * math.exp(m * math.log(1.0 / (n1 + 1.0)))
+        return DetectionTest(threshold=1, pe=pe, method="exact_threshold")
     if m * n1 <= EXACT_COUNT_LIMIT:
         return _pe_threshold_exact(n0, n1, m)
     return _pe_threshold_gaussian(n0, n1, m)

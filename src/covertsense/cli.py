@@ -23,14 +23,14 @@ import yaml
 from . import __version__
 from .adversary import covertness_report, solve_ns_for_epsilon, sqrt_law_schedule
 from .metrology import qfi_phase
-from .montecarlo import simulate
+from .montecarlo import DEFAULT_SHOTS, simulate
 from .protocol import ProtocolVariant, SensingScenario
 
 _SCENARIO_DEFAULTS = asdict(SensingScenario())
 
 _COMMON_DEFAULTS: dict[str, Any] = {
     "scenario": dict(_SCENARIO_DEFAULTS),
-    "shots": 2000,
+    "shots": DEFAULT_SHOTS,
     "seed": 0,
     "variants": ["entangled", "classical_thermal"],
     "compute_qcrb": True,

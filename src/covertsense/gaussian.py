@@ -52,14 +52,6 @@ def _i_omega(n_modes: int) -> np.ndarray:
     return out
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix (each value >= 1 for
-    a physical state in the vacuum-variance-1 convention)."""
-    n = cov.shape[0] // 2
-    eigs = np.linalg.eigvals(_i_omega(n) @ cov)
-    return np.sort(np.abs(eigs))[::2]  # each value appears as a +/- pair
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """A Gaussian state: labeled modes, mean vector, covariance matrix."""
@@ -132,10 +124,6 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
     cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
     return GaussianState(a.mode_labels + b.mode_labels, mean, cov)
-
-
-def append_vacuum(state: GaussianState, label: str) -> GaussianState:
-    return tensor(state, vacuum((label,)))
 
 
 def _gate(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> GaussianState:

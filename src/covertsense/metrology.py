@@ -119,8 +119,6 @@ def qfi_of_family(
     j1, j2 = estimates
     j = (4.0 * j2 - j1) / 3.0
     err = abs(j2 - j1) / 3.0
-    if j < 0.0 and abs(j) < 1e-30:
-        j = 0.0
     if j > 0.0 and err > 1e-3 * j:
         raise ConvergenceError(
             f"finite-difference QFI did not converge (J={j:.3e}, err={err:.3e})"

@@ -19,7 +19,6 @@ from . import gaussian as g
 class ProtocolVariant(enum.Enum):
     ENTANGLED = "entangled"
     CLASSICAL_THERMAL = "classical_thermal"
-    COHERENT_BASELINE = "coherent_baseline"
 
 
 @dataclass(frozen=True)
@@ -86,35 +85,24 @@ def tmsv(n_s: float, labels: tuple[str, str] = ("S", "I")) -> g.GaussianState:
 
 
 def split_thermal(
-    n_signal: float,
-    n_reference: float | None = None,
-    labels: tuple[str, str] = ("S", "R"),
+    n_signal: float, n_reference: float, labels: tuple[str, str] = ("S", "R")
 ) -> g.GaussianState:
     """Thermal source tapped into a signal arm of mean n_signal and a
-    reference arm of mean n_reference (defaults to a symmetric split).
+    reference arm of mean n_reference.
 
     The joint state is classical: cov - I >= 0 for any brightnesses.
     """
-    if n_signal < 0 or (n_reference is not None and n_reference < 0):
+    if n_signal < 0 or n_reference < 0:
         raise ValueError("per-mode photon numbers must be >= 0")
-    n_ref = n_signal if n_reference is None else n_reference
     eye = np.eye(2)
-    cross = 2.0 * math.sqrt(n_signal * n_ref) * eye
+    cross = 2.0 * math.sqrt(n_signal * n_reference) * eye
     cov = np.block(
         [
             [(2.0 * n_signal + 1.0) * eye, cross],
-            [cross, (2.0 * n_ref + 1.0) * eye],
+            [cross, (2.0 * n_reference + 1.0) * eye],
         ]
     )
     return g.GaussianState(labels, np.zeros(4), cov)
-
-
-def coherent_probe(n_s: float, label: str = "S") -> g.GaussianState:
-    """Single-mode coherent state of energy n_s (real amplitude)."""
-    if n_s < 0:
-        raise ValueError("probe energy must be >= 0")
-    mean = np.array([2.0 * math.sqrt(n_s), 0.0])
-    return g.GaussianState((label,), mean, np.eye(2))
 
 
 def build_receiver_input(
@@ -124,7 +112,7 @@ def build_receiver_input(
     lossy-noisy channel, plus the locally stored idler/reference.
 
     Modes: ("ret", "idler") for the entangled variant, ("ret", "ref") for
-    the classical one, ("ret",) for the coherent baseline.
+    the classical one.
     """
     sc = scenario
     if variant is ProtocolVariant.ENTANGLED:
@@ -133,24 +121,17 @@ def build_receiver_input(
     elif variant is ProtocolVariant.CLASSICAL_THERMAL:
         state = split_thermal(sc.N_S, sc.N_R, ("ret", "ref"))
         retained = "ref"
-    elif variant is ProtocolVariant.COHERENT_BASELINE:
-        state = coherent_probe(sc.N_S, "ret")
-        retained = None
     else:
         raise ValueError(f"unknown variant {variant}")
     state = g.apply_phase(state, "ret", sc.theta)
     state = g.apply_thermal_loss(state, "ret", sc.kappa, sc.N_B)
-    if retained is not None:
-        state = g.apply_thermal_loss(state, retained, sc.kappa_I, 0.0)
-    return state
+    return g.apply_thermal_loss(state, retained, sc.kappa_I, 0.0)
 
 
 def willie_brightnesses(scenario: SensingScenario) -> tuple[float, float]:
     """(n0, n1): the adversary's per-mode thermal means without and with
-    the probe.  Identical for the `entangled` and `classical_thermal`
-    variants, whose signal-arm marginal is thermal with mean N_S.  The
-    `coherent_baseline` arm is a displaced vacuum of the same mean, so
-    Willie's state is then not thermal and these are not its statistics."""
+    the probe.  Identical for both variants, whose signal-arm marginal is
+    thermal with mean N_S."""
     n0 = scenario.N_B
     n1 = n0 + scenario.f_W * (1.0 - scenario.kappa_E) * scenario.kappa_T * scenario.N_S
     return n0, n1

@@ -42,7 +42,7 @@ class ReceiverStats:
 
 def _pcr_state(scenario: SensingScenario) -> g.GaussianState:
     state = build_receiver_input(scenario, ProtocolVariant.ENTANGLED)
-    state = g.append_vacuum(state, "conj")
+    state = g.tensor(state, g.vacuum(("conj",)))
     # conjugate the return: conj <- sqrt(G) vac + sqrt(G-1) ret^dagger
     state = g.apply_two_mode_squeeze(state, "conj", "ret", scenario.G_pc)
     return g.apply_beamsplitter(state, "conj", "idler", 0.5)
@@ -63,8 +63,6 @@ _RECEIVERS = {
 def receiver_stats(scenario: SensingScenario, variant: ProtocolVariant) -> ReceiverStats:
     """Difference-count statistics of the variant's receiver, calibrated
     by a second pass at theta = 0."""
-    if variant not in _RECEIVERS:
-        raise ValueError(f"no receiver model for variant {variant}")
     name, state_of, (mode_a, mode_b) = _RECEIVERS[variant]
     state = state_of(scenario)
     mean, var = g.difference_stats(state, mode_a, mode_b)

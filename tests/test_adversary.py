@@ -12,7 +12,6 @@ from covertsense.adversary import (
     pe_optimal_counting,
     solve_ns_for_epsilon,
     sqrt_law_schedule,
-    thermal_fidelity,
     thermal_rel_entropy,
 )
 from covertsense.protocol import SensingScenario
@@ -56,11 +55,6 @@ def test_epsilon_scaling_laws():
     )
 
 
-def test_thermal_fidelity_closed_form():
-    assert thermal_fidelity(0.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-    assert thermal_fidelity(0.7, 0.7) == 1.0
-
-
 def test_pe_lower_bound_values_and_monotonicity():
     assert pe_lower_bound(1.0, 1.0, 5) == 0.5
     # closed form (1 - sqrt(1 - F^(2M)))/2 with F = 1/sqrt(2)
@@ -86,6 +80,10 @@ def test_pe_optimal_counting_examples():
     assert t.pe == pytest.approx(0.4028, abs=5e-4)
     with pytest.raises(ValueError):
         pe_optimal_counting(2.0, 1.0, 1)
+    # M n1 = 5e6 is past the CLT switch-over, but at n0 = 0 any count
+    # certifies the probe: P_e = p1^M / 2 exactly, which underflows to 0 here
+    t = pe_optimal_counting(0.0, 0.5, 10**7)
+    assert (t.threshold, t.pe, t.method) == (1, 0.0, "exact_threshold")
 
 
 def test_pe_optimal_counting_threshold_is_truly_optimal():

@@ -148,6 +148,17 @@ def test_fig4_regime_rows(tmp_path):
     assert regimes == {"fixed_covertness", "fixed_power"}
 
 
+def test_qcrb_rejects_unknown_variant():
+    res = CliRunner().invoke(main, ["qcrb", "--set", 'variants=["coherent_baseline"]'])
+    assert res.exit_code == 2
+    assert "'coherent_baseline' is not a valid ProtocolVariant" in res.output
+
+
+def test_package_exports_resolve():
+    missing = [name for name in covertsense.__all__ if not hasattr(covertsense, name)]
+    assert missing == []
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # every CLI process pays for what the package imports; the counting test
     # needs scipy.special ufuncs only

@@ -39,10 +39,10 @@ def test_fidelity_coherent_overlap():
 
 
 def test_fidelity_thermal_closed_form():
-    from covertsense.adversary import thermal_fidelity
-
+    # F = 1 / (sqrt((n0+1)(n1+1)) - sqrt(n0 n1))
     a, b = g.thermal(0.4, "a"), g.thermal(1.1, "a")
-    assert gaussian_fidelity(a, b) == pytest.approx(thermal_fidelity(0.4, 1.1), rel=1e-9)
+    closed = 1.0 / (math.sqrt(1.4 * 2.1) - math.sqrt(0.4 * 1.1))
+    assert gaussian_fidelity(a, b) == pytest.approx(closed, rel=1e-9)
 
 
 def test_fidelity_two_mode_pure_overlap():
@@ -72,11 +72,8 @@ def test_qfi_pure_tmsv_phase():
 
 
 def test_qfi_pure_coherent_phase():
-    # coherent probe: J = 4 N_S
-    sc = SensingScenario(
-        N_S=0.3, N_B=0.0, kappa_T=1.0, kappa_E=1.0, kappa_I=1.0, W=1e6, T=1e-3
-    )
-    res = qfi_phase(sc, ProtocolVariant.COHERENT_BASELINE)
+    # phase on a coherent state of energy N_S: J = 4 N_S
+    res = qfi_of_family(lambda th: coherent(0.3, phase=th), math.pi / 2)
     assert res.J == pytest.approx(4 * 0.3, rel=1e-6)
 
 

@@ -9,7 +9,6 @@ from covertsense.protocol import (
     ProtocolVariant,
     SensingScenario,
     build_receiver_input,
-    coherent_probe,
     split_thermal,
     tmsv,
     willie_brightnesses,
@@ -68,19 +67,15 @@ def test_split_thermal_blocks_and_classicality():
 
 
 def test_split_thermal_symmetric_default():
-    state = split_thermal(0.25)
+    # equal brightnesses give a symmetric split
+    state = split_thermal(0.25, 0.25)
+    assert g.photon_mean(state, "S") == pytest.approx(0.25, rel=1e-12)
     assert g.photon_mean(state, "R") == pytest.approx(0.25, rel=1e-12)
 
 
 def test_tmsv_cross_beats_classical_cross_at_equal_energy():
     for n_s in (1e-4, 0.01, 1.0):
         assert 2 * math.sqrt(n_s * (n_s + 1)) > 2 * n_s
-
-
-def test_coherent_probe_energy():
-    state = coherent_probe(0.49)
-    assert g.photon_mean(state, "S") == pytest.approx(0.49, rel=1e-12)
-    assert np.allclose(state.cov, np.eye(2))
 
 
 def test_receiver_input_identity_channel_preserves_source():
@@ -118,11 +113,6 @@ def test_receiver_input_theta_2pi_equivalence():
     assert np.allclose(a.cov, b.cov, atol=1e-12)
 
 
-def test_coherent_variant_single_mode():
-    out = build_receiver_input(SensingScenario(), ProtocolVariant.COHERENT_BASELINE)
-    assert out.mode_labels == ("ret",)
-
-
 def test_willie_brightness_formula():
     sc = SensingScenario(f_W=1.0, kappa_E=0.5, kappa_T=1.0, N_S=0.4, N_B=2.0)
     n0, n1 = willie_brightnesses(sc)
@@ -139,14 +129,8 @@ def test_willie_marginal_identical_across_variants():
     # Willie's brightnesses depend on the probe arm S only through its mean
     # photon number, which every source sets to N_S
     n_s = 0.01
-    thermal_arms = (tmsv(n_s, ("S", "x")), split_thermal(n_s, 3.0, ("S", "x")))
-    coherent = coherent_probe(n_s, "S")
-    for probe in thermal_arms:
+    for probe in (tmsv(n_s, ("S", "x")), split_thermal(n_s, 3.0, ("S", "x"))):
         mean, cov = probe.mode_block("S")
         assert np.allclose(mean, 0.0)
         assert np.allclose(cov, (2 * n_s + 1) * np.eye(2), atol=1e-10)
-    mean, cov = coherent.mode_block("S")
-    assert np.allclose(mean, [2.0 * math.sqrt(n_s), 0.0])
-    assert np.allclose(cov, np.eye(2))
-    for probe in (*thermal_arms, coherent):
         assert g.photon_mean(probe, "S") == pytest.approx(n_s, rel=1e-9)

@@ -40,8 +40,6 @@ def test_receiver_stats_dispatch():
         receiver_stats(DESK, ProtocolVariant.CLASSICAL_THERMAL).variant
         is ProtocolVariant.CLASSICAL_THERMAL
     )
-    with pytest.raises(ValueError):
-        receiver_stats(DESK, ProtocolVariant.COHERENT_BASELINE)
 
 
 def test_zero_probe_degenerate_calibration():

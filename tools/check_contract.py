@@ -10,10 +10,11 @@ tree's ``src``.  The jobs and input files come from each tree's
 per output file says SAME or DIFF.
 
 A fixed list of CLI invocations (``EDGE_INVOCATIONS``: a zero
-background, the CLT branch at a zero background, a zero probe, a time
-grid below one mode, ``qcrb`` at its defaults, and ``qcrb`` over a grid
-from N_B = 1e-3 to 1280) is also run from each tree with
-``python -m covertsense.cli``.  These may fail by design, so each gets one SAME or
+background; a zero background over T = 1 s, once with M n1 ~ 2.3e4 on
+Willie's exact count and once at N_S = 0.1, M n1 ~ 2.9e6, past its CLT
+switch-over; a zero probe; a time grid below one mode; ``qcrb`` at its
+defaults; and ``qcrb`` over a grid from N_B = 1e-3 to 1280) is also run
+from each tree with ``python -m covertsense.cli``.  These may fail by design, so each gets one SAME or
 DIFF line over four things: the exit code, the output file's bytes (or its
 absence), the ``FAILED ...`` lines on stderr, and the last stderr line.
 Whole tracebacks are not compared, since they hold the tree's paths.
@@ -37,6 +38,7 @@ EDGE_INVOCATIONS = (
     ("covertness", "--set", "grid.N_B=[0,160]"),
     ("sweep", "--set", "grid.N_B=[0,160]"),
     ("covertness", "--set", "scenario.N_B=0", "--set", "scenario.T=1"),
+    ("covertness", "--set", "scenario.N_B=0", "--set", "scenario.T=1", "--set", "scenario.N_S=0.1"),
     ("covertness", "--set", "grid.N_S=[0,1e-3]"),
     ("qcrb",),
     ("qcrb", "--set", 'grid={"N_B":[0.001,0.01,40,1280],"theta":[0.3,2.5],"N_S":[1e-4,0.1]}'),
