@@ -159,15 +159,37 @@ def test_package_exports_resolve():
     assert missing == []
 
 
+def _package_env():
+    src = str(Path(covertsense.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # every CLI process pays for what the package imports; the counting test
-    # needs scipy.special ufuncs only
-    src = str(Path(covertsense.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import covertsense.cli, sys; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    # needs scipy.special ufuncs only, and mpmath is a test-only reference
+    code = (
+        "import sys, covertsense; package = 'mpmath' in sys.modules; "
+        "import covertsense.cli; "
+        "print('scipy.stats' in sys.modules, package, 'mpmath' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False", "False"]
+
+
+def test_qcrb_runs_without_mpmath(tmp_path):
+    # the QFI needs only the standard library's decimal module
+    res = run(["qcrb", "--out", str(tmp_path / "in_process.csv")])
+    assert res.exit_code == 0
+    code = (
+        "import sys; sys.modules['mpmath'] = None; "
+        "from covertsense.cli import main; main(sys.argv[1:])"
+    )
+    out = tmp_path / "no_mpmath.csv"
+    proc = subprocess.run([sys.executable, "-c", code, "qcrb", "--out", str(out)],
+                          env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (tmp_path / "in_process.csv").read_bytes()
 
 
 def test_failed_line_names_exception_without_message(tmp_path, monkeypatch):

@@ -148,30 +148,59 @@ def test_qfi_rejects_three_modes():
         qfi_of_family(family, 0.5)
 
 
-def fidelity_mp_sqrtm(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
-    """Reference for metrology._fidelity_mp: the Banchi-Braunstein-Pirandola
-    fidelity with det(2 (sqrt(m) + I) Vaux) taken through mp.sqrtm."""
+def _mp_aux(state_a: g.GaussianState, state_b: g.GaussianState):
+    """(sig_sum, Vaux, m = I + (Vaux Omega)^-2 / 4) in mpmath, at the
+    caller's working precision."""
+    n = state_a.n_modes
+    om = mp.matrix(g.omega(n).tolist())
+    sig1 = mp.matrix(state_a.cov.tolist()) / 2
+    sig2 = mp.matrix(state_b.cov.tolist()) / 2
+    sig_sum = sig1 + sig2
+    vaux = om.T * (sig_sum**-1) * (om / 4 + sig2 * om * sig1)
+    w = vaux * om
+    return sig_sum, vaux, mp.eye(2 * n) + (w**-1) ** 2 / 4
+
+
+def _mp_displacement(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
+    """The fidelity's mean term exp(-delta^T (V_a + V_b)^-1 delta / 4)."""
+    n = state_a.n_modes
+    delta = mp.matrix([float(state_b.mean[i] - state_a.mean[i]) for i in range(2 * n)])
+    vs = mp.matrix((state_a.cov + state_b.cov).tolist())
+    return mp.e ** (-(delta.T * (vs**-1) * delta)[0] / 4)
+
+
+def fidelity_mp_spectrum(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
+    """Reference for metrology._fidelity_mp in mpmath: the same spectrum
+    form, det(sqrt(m) + I) read off tr m and det m, in binary arithmetic."""
     n = state_a.n_modes
     with mp.workdps(QFI_PRECISION_DPS):
-        om = mp.matrix(g.omega(n).tolist())
-        sig1 = mp.matrix(state_a.cov.tolist()) / 2
-        sig2 = mp.matrix(state_b.cov.tolist()) / 2
-        sig_sum = sig1 + sig2
-        vaux = om.T * (sig_sum**-1) * (om / 4 + sig2 * om * sig1)
-        w = vaux * om
-        eye = mp.eye(2 * n)
-        m = eye + (w**-1) ** 2 / 4
-        ftot4 = mp.det(2 * (mp.sqrtm(m) + eye) * vaux)
+        sig_sum, vaux, m = _mp_aux(state_a, state_b)
+        mu_sum = sum(m[i, i] for i in range(2 * n)) / 2
+        mu_geo = max(mp.det(m), 0) ** mp.mpf("0.25") if n == 2 else mp.mpf(0)
+        prod = 1 + mu_geo + mp.sqrt(max(mu_sum + 2 * mu_geo, 0))
+        ftot4 = 4**n * mp.det(vaux) * prod**2
+        f0 = (ftot4 / mp.det(sig_sum)) ** mp.mpf("0.25")
+        return f0 * _mp_displacement(state_a, state_b)
+
+
+def fidelity_mp_sqrtm(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
+    """Reference for metrology._fidelity_mp in mpmath: the
+    Banchi-Braunstein-Pirandola fidelity with det(2 (sqrt(m) + I) Vaux)
+    taken through mp.sqrtm."""
+    with mp.workdps(QFI_PRECISION_DPS):
+        sig_sum, vaux, m = _mp_aux(state_a, state_b)
+        ftot4 = mp.det(2 * (mp.sqrtm(m) + mp.eye(m.rows)) * vaux)
         f0 = (mp.re(ftot4) / mp.det(sig_sum)) ** mp.mpf("0.25")
-        delta = mp.matrix([float(state_b.mean[i] - state_a.mean[i]) for i in range(2 * n)])
-        vs = mp.matrix((state_a.cov + state_b.cov).tolist())
-        expo = -(delta.T * (vs**-1) * delta)[0] / 4
-        return f0 * mp.e**expo
+        return f0 * _mp_displacement(state_a, state_b)
 
 
 def _reference_cases():
+    """(scenario, variant) pairs for both references, and pairs for the
+    spectrum-form reference only.  mp.sqrtm does not converge at N_B = 0,
+    where a mode of the receiver input is pure, and costs ~0.25 s a pair,
+    so the contract's qcrb grid is checked against the spectrum form."""
     rng = np.random.default_rng(20151221)
-    cases = []
+    both = []
     for variant in ProtocolVariant:
         for _ in range(4):
             sc = SensingScenario(
@@ -183,19 +212,31 @@ def _reference_cases():
                 theta=rng.uniform(0, 2 * math.pi),
                 N_R=10 ** rng.uniform(-3, 5),
             )
-            cases.append((sc, variant))
+            both.append((sc, variant))
     fig3 = SensingScenario(theta=round(0.1 * math.pi, 12))
     fig4 = SensingScenario(N_B=1280.0)
-    cases += [(sc, v) for sc in (fig3, fig4) for v in QCRB_VARIANTS]
-    return cases
+    near_pure = [SensingScenario(N_B=n_b) for n_b in (1e-9, 1e-6, 1e-3)]
+    both += [(sc, v) for sc in (fig3, fig4, *near_pure) for v in QCRB_VARIANTS]
+    spectrum_only = [SensingScenario(N_B=0.0)]
+    spectrum_only += [
+        SensingScenario(N_B=n_b, theta=theta, N_S=n_s)
+        for n_b in (0.001, 0.01, 40.0, 1280.0)
+        for theta in (0.3, 2.5)
+        for n_s in (1e-4, 0.1)
+    ]
+    return both, [(sc, v) for sc in spectrum_only for v in QCRB_VARIANTS]
 
 
 def test_qfi_matches_sqrtm_reference_bit_for_bit(monkeypatch):
-    def bits(res):
-        return res.J.hex(), res.qcrb_var.hex(), res.richardson_error.hex()
+    def bits(cases):
+        return [
+            (res.J.hex(), res.qcrb_var.hex(), res.richardson_error.hex())
+            for res in (qfi_phase(sc, v) for sc, v in cases)
+        ]
 
-    cases = _reference_cases()
-    fast = [bits(qfi_phase(sc, v)) for sc, v in cases]
+    both, spectrum_only = _reference_cases()
+    fast = bits(both), bits(spectrum_only)
+    monkeypatch.setattr(metrology, "_fidelity_mp", fidelity_mp_spectrum)
+    assert (bits(both), bits(spectrum_only)) == fast
     monkeypatch.setattr(metrology, "_fidelity_mp", fidelity_mp_sqrtm)
-    reference = [bits(qfi_phase(sc, v)) for sc, v in cases]
-    assert fast == reference
+    assert bits(both) == fast[0]
