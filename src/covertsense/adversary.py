@@ -189,9 +189,10 @@ def _pe_threshold_exact(n0: float, n1: float, m: int) -> DetectionTest:
     not; the guard test in ``tests/test_adversary.py`` checks this."""
     p0, p1 = 1.0 / (n0 + 1.0), 1.0 / (n1 + 1.0)
     # LR(k) >= 1  <=>  k >= m * ln((n1+1)/(n0+1)) / ln(n1 (n0+1) / (n0 (n1+1)))
-    t_star = m * math.log((n1 + 1.0) / (n0 + 1.0)) / math.log(
-        (n1 * (n0 + 1.0)) / (n0 * (n1 + 1.0))
-    )
+    # (n1 - n0 below double resolution makes the log ratio 0: take the
+    # limit n1 -> n0, the mean count m n0)
+    log_ratio = math.log((n1 * (n0 + 1.0)) / (n0 * (n1 + 1.0)))
+    t_star = m * math.log((n1 + 1.0) / (n0 + 1.0)) / log_ratio if log_ratio else m * n0
     candidates = sorted(
         {max(0, int(math.floor(t_star)) + d) for d in (-1, 0, 1, 2)}
     )

@@ -403,14 +403,9 @@ def unitary_from_symplectic(s: np.ndarray, cutoffs) -> np.ndarray:
     return u_passive @ u_active
 
 
-def displacement_op(alpha: complex, dim: int) -> np.ndarray:
-    a = destroy(dim)
-    return sla.expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
 def from_gaussian(state: GaussianState, cutoffs) -> FockState:
-    """Fock representation of a Gaussian state via Williamson decomposition
-    (thermal core, Gaussian unitary, displacement)."""
+    """Fock representation of a zero-mean Gaussian state via Williamson
+    decomposition (thermal core, Gaussian unitary)."""
     n = state.n_modes
     if n > 3:
         raise ValueError("oracle supports at most 3 modes")
@@ -425,12 +420,6 @@ def from_gaussian(state: GaussianState, cutoffs) -> FockState:
     fock = product_fock(*thermals) if n > 1 else thermals[0]
     u = unitary_from_symplectic(s, cutoffs)
     mat = u @ fock.matrix() @ u.conj().T
-    for i in range(n):
-        mx, mp = state.mean[2 * i], state.mean[2 * i + 1]
-        if mx != 0.0 or mp != 0.0:
-            alpha = 0.5 * (mx + 1j * mp)
-            full = _on_mode(displacement_op(alpha, cutoffs[i]), i, cutoffs)
-            mat = full @ mat @ full.conj().T
     out = FockState(mat.reshape(cutoffs + cutoffs), cutoffs, 0.0)
     out.trace_deficit = max(1.0 - out.trace(), 0.0)
     return out

@@ -6,8 +6,11 @@ Conventions (fixed once, tested everywhere):
   identity and a thermal state of mean photon number ``n`` has covariance
   ``(2n + 1) I``.
 * Vectors are ordered ``(x1, p1, ..., xn, pn)``.
-* Photon number of mode ``i``: ``n_i = (tr V_i - 2)/4 + |m_i|^2 / 4`` where
-  ``V_i`` is the mode's 2x2 covariance block and ``m_i`` its mean.
+* Photon number of mode ``i``: ``n_i = (tr V_i - 2)/4`` where ``V_i`` is the
+  mode's 2x2 covariance block.
+* States have zero mean, so a state is its covariance matrix alone: both
+  probes and the thermal background start at zero mean, and every gate
+  here is linear in the quadratures, so it keeps the mean at zero.
 
 All operations are pure: they return new states and never mutate inputs.
 Every `GaussianState` is validated on construction (symmetry and the
@@ -28,7 +31,7 @@ UNCERTAINTY_TOL = 1e-9
 
 
 class StateError(ValueError):
-    """Raised when a covariance matrix or mean vector is not a valid state."""
+    """Raised when a covariance matrix is not a valid state."""
 
 
 class ModeError(ValueError):
@@ -54,10 +57,9 @@ def _i_omega(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state: labeled modes, mean vector, covariance matrix."""
+    """A zero-mean Gaussian state: labeled modes and a covariance matrix."""
 
     mode_labels: tuple[str, ...]
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
@@ -66,9 +68,7 @@ class GaussianState:
         if len(set(labels)) != len(labels):
             raise ModeError(f"duplicate mode labels: {labels}")
         n = len(labels)
-        mean = np.asarray(self.mean, dtype=float).reshape(2 * n)
         cov = np.asarray(self.cov, dtype=float).reshape(2 * n, 2 * n)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
@@ -90,10 +90,10 @@ class GaussianState:
         except ValueError:
             raise ModeError(f"unknown mode {label!r}; have {self.mode_labels}") from None
 
-    def mode_block(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, cov) restricted to one mode."""
+    def mode_block(self, label: str) -> np.ndarray:
+        """Covariance restricted to one mode."""
         i = 2 * self.mode_index(label)
-        return self.mean[i : i + 2].copy(), self.cov[i : i + 2, i : i + 2].copy()
+        return self.cov[i : i + 2, i : i + 2].copy()
 
     def cross_block(self, label_a: str, label_b: str) -> np.ndarray:
         ia, ib = 2 * self.mode_index(label_a), 2 * self.mode_index(label_b)
@@ -104,14 +104,14 @@ def vacuum(mode_labels: Sequence[str]) -> GaussianState:
     """Vacuum state on the given modes."""
     labels = tuple(mode_labels)
     n = len(labels)
-    return GaussianState(labels, np.zeros(2 * n), np.eye(2 * n))
+    return GaussianState(labels, np.eye(2 * n))
 
 
 def thermal(mean_photons: float, label: str = "m0") -> GaussianState:
     """Single-mode thermal state of the given mean photon number."""
     if mean_photons < 0:
         raise ValueError("mean photon number must be >= 0")
-    return GaussianState((label,), np.zeros(2), (2 * mean_photons + 1) * np.eye(2))
+    return GaussianState((label,), (2 * mean_photons + 1) * np.eye(2))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -119,11 +119,10 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     if set(a.mode_labels) & set(b.mode_labels):
         raise ModeError("mode labels overlap")
     n = a.n_modes + b.n_modes
-    mean = np.concatenate([a.mean, b.mean])
     cov = np.zeros((2 * n, 2 * n))
     cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
     cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
-    return GaussianState(a.mode_labels + b.mode_labels, mean, cov)
+    return GaussianState(a.mode_labels + b.mode_labels, cov)
 
 
 def _gate(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> GaussianState:
@@ -133,7 +132,7 @@ def _gate(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> Gau
     for a, i in enumerate(starts):
         for b, j in enumerate(starts):
             S[i : i + 2, j : j + 2] = small[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
-    return GaussianState(state.mode_labels, S @ state.mean, S @ state.cov @ S.T)
+    return GaussianState(state.mode_labels, S @ state.cov @ S.T)
 
 
 def phase_symplectic(theta: float) -> np.ndarray:
@@ -209,17 +208,17 @@ def apply_thermal_loss(
     scale[i : i + 2] = np.sqrt(kappa)
     cov = state.cov * np.outer(scale, scale)
     cov[i : i + 2, i : i + 2] += ((1.0 - kappa) + 2.0 * added_noise) * np.eye(2)
-    return GaussianState(state.mode_labels, state.mean * scale, cov)
+    return GaussianState(state.mode_labels, cov)
 
 
 def photon_mean(state: GaussianState, mode: str) -> float:
-    m, V = state.mode_block(mode)
-    return (np.trace(V) - 2.0) / 4.0 + float(m @ m) / 4.0
+    V = state.mode_block(mode)
+    return (np.trace(V) - 2.0) / 4.0
 
 
 def photon_variance(state: GaussianState, mode: str) -> float:
-    m, V = state.mode_block(mode)
-    var = (np.trace(V @ V) - 2.0) / 8.0 + float(m @ V @ m) / 4.0
+    V = state.mode_block(mode)
+    var = (np.trace(V @ V) - 2.0) / 8.0
     return max(var, 0.0)
 
 
@@ -227,10 +226,8 @@ def photon_covariance(state: GaussianState, mode_a: str, mode_b: str) -> float:
     """Photon-number covariance between two distinct modes."""
     if mode_a == mode_b:
         return photon_variance(state, mode_a)
-    ma, _ = state.mode_block(mode_a)
-    mb, _ = state.mode_block(mode_b)
     C = state.cross_block(mode_a, mode_b)
-    return float(np.sum(C * C)) / 8.0 + float(ma @ C @ mb) / 4.0
+    return float(np.sum(C * C)) / 8.0
 
 
 def difference_stats(state: GaussianState, mode_a: str, mode_b: str) -> tuple[float, float]:

@@ -102,7 +102,7 @@ def split_thermal(
             [cross, (2.0 * n_reference + 1.0) * eye],
         ]
     )
-    return g.GaussianState(labels, np.zeros(4), cov)
+    return g.GaussianState(labels, cov)
 
 
 def build_receiver_input(

@@ -86,6 +86,16 @@ def test_pe_optimal_counting_examples():
     assert (t.threshold, t.pe, t.method) == (1, 0.0, "exact_threshold")
 
 
+def test_pe_optimal_counting_brightnesses_one_ulp_apart():
+    # n1 (n0 + 1) / (n0 (n1 + 1)) rounds to 1, so the likelihood-ratio
+    # crossing is 0/0; its limit is the mean count M n0
+    n0 = 168.0
+    t = pe_optimal_counting(n0, math.nextafter(n0, math.inf), 5)
+    assert t.method == "exact_threshold"
+    assert t.threshold in range(5 * 168 - 1, 5 * 168 + 3)
+    assert t.pe == pytest.approx(0.5, abs=1e-15)
+
+
 def test_pe_optimal_counting_threshold_is_truly_optimal():
     # brute force over all thresholds with the same negative binomial model
     from scipy.stats import nbinom

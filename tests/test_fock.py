@@ -81,15 +81,6 @@ def test_from_gaussian_tmsv_stats():
     assert cov == pytest.approx(n_s * (n_s + 1), abs=1e-6)
 
 
-def test_from_gaussian_coherent_displacement():
-    mean = np.array([2.0 * math.sqrt(0.3), 0.0])
-    state = g.GaussianState(("a",), mean, np.eye(2))
-    st = f.from_gaussian(state, (20,))
-    assert f.fock_photon_mean(st, 0) == pytest.approx(0.3, abs=1e-9)
-    # Poisson statistics of a coherent state
-    assert f.fock_photon_variance(st, 0) == pytest.approx(0.3, abs=1e-8)
-
-
 def test_from_gaussian_split_thermal_cross_covariance():
     st = f.from_gaussian(split_thermal(0.2, 0.5), (16, 20))
     # classically correlated arms: Cov(n_a, n_b) = n_a n_b
@@ -103,11 +94,12 @@ def test_fock_fidelity_thermal_closed_form():
 
 
 def test_fock_fidelity_pure_overlap():
-    vac = f.vacuum_fock((25,))
-    mean = np.array([2.0 * math.sqrt(0.5), 0.0])
-    coh = f.from_gaussian(g.GaussianState(("a",), mean, np.eye(2)), (25,))
-    # |<0|alpha>| = exp(-|alpha|^2 / 2)
-    assert f.fock_fidelity(vac, coh) == pytest.approx(math.exp(-0.25), rel=1e-8)
+    a = f.from_gaussian(tmsv(0.3), (20, 20))
+    b = f.from_gaussian(g.apply_phase(tmsv(0.3), "S", 0.4), (20, 20))
+    # <psi(0)|psi(theta)> = (1 - lam^2) / |1 - lam^2 e^(i theta)| with lam^2 = N/(N+1)
+    lam2 = 0.3 / 1.3
+    expected = (1 - lam2) / abs(1 - lam2 * np.exp(1j * 0.4))
+    assert f.fock_fidelity(a, b) == pytest.approx(expected, rel=1e-8)
 
 
 def test_fock_rel_entropy_thermal_closed_form():
@@ -125,7 +117,6 @@ def test_dimension_guard():
 
 
 def test_from_gaussian_mean_headroom_guard():
-    mean = np.array([40.0, 0.0])
-    state = g.GaussianState(("a",), mean, np.eye(2))
+    # mean occupation 3 > cutoff / 8 = 2.5
     with pytest.raises(f.TruncationError):
-        f.from_gaussian(state, (20,))
+        f.from_gaussian(g.thermal(3.0, "a"), (20,))

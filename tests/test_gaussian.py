@@ -37,9 +37,9 @@ def test_symplectic_eigenvalues_vacuum_and_squeezed():
 
 def test_cov_validation_rejects_asymmetry_and_unphysical():
     with pytest.raises(g.StateError):
-        g.GaussianState(("a",), np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        g.GaussianState(("a",), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(g.StateError):
-        g.GaussianState(("a",), np.zeros(2), 0.1 * np.eye(2))
+        g.GaussianState(("a",), 0.1 * np.eye(2))
 
 
 def test_beamsplitter_energy_conservation():
@@ -81,7 +81,6 @@ def test_phase_2pi_identity():
     state = g.apply_two_mode_squeeze(g.vacuum(("a", "b")), "a", "b", 1.3)
     out = g.apply_phase(state, "a", 2.0 * math.pi)
     assert np.allclose(out.cov, state.cov, atol=1e-12)
-    assert np.allclose(out.mean, state.mean, atol=1e-12)
 
 
 def test_thermal_loss_receiver_referred_brightness():
@@ -99,9 +98,8 @@ def test_thermal_loss_rejects_zero_transmissivity():
 
 def test_partial_trace_marginals():
     state = g.apply_two_mode_squeeze(g.vacuum(("a", "b")), "a", "b", 2.0)
-    mean, cov = state.mode_block("a")
+    cov = state.mode_block("a")
     # TMSV marginal is thermal with the same per-arm brightness
-    assert np.allclose(mean, 0.0)
     assert np.allclose(cov, (2.0 * 1.0 + 1.0) * np.eye(2), atol=1e-12)
 
 
@@ -182,7 +180,7 @@ def _gate_ix(state, labels, small):
         idx.extend([i, i + 1])
     idx = np.array(idx)
     S[np.ix_(idx, idx)] = small
-    return g.GaussianState(state.mode_labels, S @ state.mean, S @ state.cov @ S.T)
+    return g.GaussianState(state.mode_labels, S @ state.cov @ S.T)
 
 
 def _assert_bit_identical(a, b):
@@ -217,7 +215,6 @@ def test_gate_matches_ix_reference_on_reversed_non_adjacent_labels():
         (["ret"], g.phase_symplectic(2.1)),
     ):
         out, ref = g._gate(state, labels, small), _gate_ix(state, labels, small)
-        _assert_bit_identical(out.mean, ref.mean)
         _assert_bit_identical(out.cov, ref.cov)
     out = g.apply_beamsplitter(state, "conj", "idler", 0.5)
     ref = _gate_ix(state, ["conj", "idler"], _beamsplitter_block(0.5))

@@ -3,39 +3,29 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertsense import gaussian as g
 from covertsense import metrology
+from covertsense.adversary import covertness_report
 from covertsense.metrology import (
     QFI_PRECISION_DPS,
+    ConvergenceError,
     gaussian_fidelity,
     qfi_of_family,
     qfi_phase,
     receiver_fisher,
 )
 from covertsense.protocol import ProtocolVariant, SensingScenario, tmsv
-from covertsense.receivers import pcr_stats, receiver_stats
+from covertsense.receivers import CalibrationError, pcr_stats, receiver_stats
 
 QCRB_VARIANTS = (ProtocolVariant.ENTANGLED, ProtocolVariant.CLASSICAL_THERMAL)
-
-
-def coherent(alpha_sq: float, phase: float = 0.0) -> g.GaussianState:
-    amp = 2.0 * math.sqrt(alpha_sq)
-    mean = np.array([amp * math.cos(phase), amp * math.sin(phase)])
-    return g.GaussianState(("a",), mean, np.eye(2))
 
 
 def test_fidelity_identical_states():
     st = g.thermal(0.7)
     assert gaussian_fidelity(st, st) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fidelity_coherent_overlap():
-    # |<alpha|beta>| = exp(-|alpha-beta|^2/2)
-    a, b = coherent(0.5), coherent(0.5, phase=0.8)
-    alpha = math.sqrt(0.5)
-    dist2 = 2 * 0.5 * (1 - math.cos(0.8))
-    assert gaussian_fidelity(a, b) == pytest.approx(math.exp(-dist2 / 2), rel=1e-9)
 
 
 def test_fidelity_thermal_closed_form():
@@ -71,10 +61,14 @@ def test_qfi_pure_tmsv_phase():
     assert res.qcrb_var == pytest.approx(1.0 / (sc.M * res.J), rel=1e-12)
 
 
-def test_qfi_pure_coherent_phase():
-    # phase on a coherent state of energy N_S: J = 4 N_S
-    res = qfi_of_family(lambda th: coherent(0.3, phase=th), math.pi / 2)
-    assert res.J == pytest.approx(4 * 0.3, rel=1e-6)
+def test_qfi_pure_squeezed_vacuum_phase():
+    # phase on one-mode squeezed vacuum, R(theta) diag(e^2r, e^-2r) R(theta)^T,
+    # of energy N = sinh^2 r: J = 8 N (N + 1)
+    r = 0.4
+    squeezed = g.GaussianState(("a",), np.diag([math.exp(2 * r), math.exp(-2 * r)]))
+    res = qfi_of_family(lambda th: g.apply_phase(squeezed, "a", th), 0.7)
+    n = math.sinh(r) ** 2
+    assert res.J == pytest.approx(8 * n * (n + 1), rel=1e-6)
 
 
 def test_qfi_noisy_asymptotic_law():
@@ -140,6 +134,71 @@ def test_qfi_zero_background():
         assert receiver_fisher(receiver_stats(sc, variant), sc.theta) <= res.J
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _rarely_zero(lo: float, hi: float):
+    """10^e for e drawn from [lo - 1, hi], and 0 when e < lo: a zero is
+    drawn often enough to be covered, but does not dominate the draws."""
+    return st.floats(lo - 1.0, hi).map(lambda e: 0.0 if e < lo else 10.0**e)
+
+
+_SCENARIO_PARAMS = st.fixed_dictionaries(
+    {
+        "N_S": _rarely_zero(-8.0, 1.0),
+        "N_B": _rarely_zero(-6.0, 4.0),
+        "kappa_T": _log_uniform(-3.0, 0.0),
+        "kappa_E": _log_uniform(-3.0, 0.0),
+        "kappa_I": _log_uniform(-3.0, 0.0),
+        "W": _log_uniform(6.0, 10.0),
+        "T": _log_uniform(-9.0, 0.0),
+        "theta": st.floats(0.0, 2.0 * math.pi),
+        "G_pc": st.floats(1.0, 10.0),
+        "f_W": st.floats(0.0, 1.0, exclude_min=True),
+        "N_R": _log_uniform(-3.0, 5.0),
+    }
+)
+
+
+def test_bounds_hold_over_the_scenario_domain():
+    # Each draw, for each variant, either raises a documented error or
+    # satisfies pe_lower <= pe_exact <= 1/2, the Pinsker bound
+    # pe_exact >= 1/2 - epsilon, var_diff >= 0 and receiver Fisher <= QFI.
+    # pe_exact is compared up to its rounding: the exact count's tail
+    # parameter p = 1/(n0 + 1) carries a relative error ~1e-16 / n0 in
+    # 1 - p, which moves pe_exact by up to ~2e-17 sqrt(1 + M n1) / n0
+    # (measured), and the CLT branch minimises numerically, to ~1e-12.
+    reached = []
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(params=_SCENARIO_PARAMS)
+    def check(params):
+        for variant in QCRB_VARIANTS:
+            try:
+                sc = SensingScenario(**params)
+                report = covertness_report(sc)
+                stats = receiver_stats(sc, variant)
+                assert stats.var_diff >= 0.0
+                j_rec = receiver_fisher(stats, sc.theta)
+                j_q = qfi_phase(sc, variant).J
+            except (ValueError, CalibrationError, ConvergenceError):
+                reached.append(False)
+                continue
+            reached.append(True)
+            n0, n1, m = report.n0, report.n1, report.M
+            slack = 1e-11
+            if n0 > 0.0:  # at n0 = 0, pe_exact is the closed form p1^M / 2
+                slack += 1e-16 * math.sqrt(1.0 + m * n1) / min(n0, 1.0)
+            assert report.pe_lower_fidelity <= report.pe_exact + slack
+            assert report.pe_exact <= 0.5
+            assert report.pe_exact >= 0.5 - report.epsilon - slack
+            assert j_rec <= j_q * (1.0 + 1e-6)
+
+    check()
+    assert sum(reached) >= len(reached) / 2
+
+
 def test_qfi_rejects_three_modes():
     def family(theta):
         return g.apply_phase(g.vacuum(("a", "b", "c")), "a", theta)
@@ -161,14 +220,6 @@ def _mp_aux(state_a: g.GaussianState, state_b: g.GaussianState):
     return sig_sum, vaux, mp.eye(2 * n) + (w**-1) ** 2 / 4
 
 
-def _mp_displacement(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
-    """The fidelity's mean term exp(-delta^T (V_a + V_b)^-1 delta / 4)."""
-    n = state_a.n_modes
-    delta = mp.matrix([float(state_b.mean[i] - state_a.mean[i]) for i in range(2 * n)])
-    vs = mp.matrix((state_a.cov + state_b.cov).tolist())
-    return mp.e ** (-(delta.T * (vs**-1) * delta)[0] / 4)
-
-
 def fidelity_mp_spectrum(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
     """Reference for metrology._fidelity_mp in mpmath: the same spectrum
     form, det(sqrt(m) + I) read off tr m and det m, in binary arithmetic."""
@@ -179,8 +230,7 @@ def fidelity_mp_spectrum(state_a: g.GaussianState, state_b: g.GaussianState) -> 
         mu_geo = max(mp.det(m), 0) ** mp.mpf("0.25") if n == 2 else mp.mpf(0)
         prod = 1 + mu_geo + mp.sqrt(max(mu_sum + 2 * mu_geo, 0))
         ftot4 = 4**n * mp.det(vaux) * prod**2
-        f0 = (ftot4 / mp.det(sig_sum)) ** mp.mpf("0.25")
-        return f0 * _mp_displacement(state_a, state_b)
+        return (ftot4 / mp.det(sig_sum)) ** mp.mpf("0.25")
 
 
 def fidelity_mp_sqrtm(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
@@ -190,8 +240,7 @@ def fidelity_mp_sqrtm(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.
     with mp.workdps(QFI_PRECISION_DPS):
         sig_sum, vaux, m = _mp_aux(state_a, state_b)
         ftot4 = mp.det(2 * (mp.sqrtm(m) + mp.eye(m.rows)) * vaux)
-        f0 = (mp.re(ftot4) / mp.det(sig_sum)) ** mp.mpf("0.25")
-        return f0 * _mp_displacement(state_a, state_b)
+        return (mp.re(ftot4) / mp.det(sig_sum)) ** mp.mpf("0.25")
 
 
 def _reference_cases():
