@@ -192,20 +192,26 @@ def _finish(command: str, config: dict, points: list, out: str, fmt: str) -> Non
 def _mc_row(config: dict, case: Callable[[], tuple[SensingScenario, dict]],
             variant: ProtocolVariant, point_index: int) -> dict:
     scenario, extra = case()
-    res = simulate(
-        scenario,
-        variant,
-        shots=config["shots"],
-        seed=config["seed"],
-        point_index=point_index,
-        compute_qcrb=config["compute_qcrb"],
-    )
-    row = dict(extra)
-    row.update(res.csv_row())
-    row["rms_cos"] = math.sqrt(res.mse_cos)
-    row["rms_theta"] = res.rms_theta
-    row["stderr"] = res.stderr
-    return row
+    res = simulate(scenario, variant, shots=config["shots"], seed=config["seed"],
+                   point_index=point_index)
+    qcrb = qfi_phase(scenario, variant).qcrb_var if config["compute_qcrb"] else math.nan
+    return {
+        **extra,
+        "variant": variant.value,
+        "theta": scenario.theta,
+        "N_S": scenario.N_S,
+        "N_B": scenario.N_B,
+        "M": scenario.M,
+        "mse_cos": res.mse_cos,
+        "mse_theta": res.mse_theta,
+        "theory_mse_cos": res.theory_mse_cos,
+        "theory_mse": res.theory_mse,
+        "qcrb": qcrb,
+        "seed": config["seed"],
+        "rms_cos": math.sqrt(res.mse_cos),
+        "rms_theta": math.sqrt(res.mse_theta),
+        "stderr": res.stderr,
+    }
 
 
 def _mc_points(

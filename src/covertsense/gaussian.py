@@ -223,7 +223,8 @@ def photon_variance(state: GaussianState, mode: str) -> float:
 
 
 def photon_covariance(state: GaussianState, mode_a: str, mode_b: str) -> float:
-    """Photon-number covariance between two distinct modes."""
+    """Photon-number covariance between two modes; the variance when both
+    labels name the same mode."""
     if mode_a == mode_b:
         return photon_variance(state, mode_a)
     C = state.cross_block(mode_a, mode_b)

@@ -214,12 +214,10 @@ def qfi_phase(scenario: SensingScenario, variant: ProtocolVariant) -> QfiResult:
     return QfiResult(result.J, qcrb, result.richardson_error)
 
 
-def receiver_fisher(stats: ReceiverStats, theta: float) -> float:
+def receiver_fisher(stats: ReceiverStats) -> float:
     """Classical Fisher information per mode pair of the receiver's
-    difference count, from the cosine response law:
-    J_rec = A^2 sin^2(theta) / var_diff."""
-    if stats.calib_scale == 0.0:
-        raise ValueError("degenerate calibration: zero cosine amplitude")
+    difference count at the scenario's phase, from the cosine response
+    law: J_rec = A^2 sin^2(theta) / var_diff."""
     if stats.var_diff <= 0.0:
         raise ValueError("zero-variance output; Fisher information undefined here")
-    return stats.calib_scale**2 * math.sin(theta) ** 2 / stats.var_diff
+    return stats.calib_scale**2 * math.sin(stats.scenario.theta) ** 2 / stats.var_diff

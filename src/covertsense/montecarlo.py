@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolVariant, SensingScenario
-from .receivers import ReceiverStats, _var_cos, cosine_estimator, receiver_stats, theory_mse
-from .metrology import qfi_phase
+from .receivers import ReceiverStats, cosine_estimator, receiver_stats, theory_mse
 
 CLT_GUARD_COUNTS = 100.0
 DEFAULT_SHOTS = 2000
@@ -38,33 +37,13 @@ class EstimationResult:
 
     scenario: SensingScenario
     variant: ProtocolVariant
-    theta_true: float
     cos_hat: np.ndarray
     theta_hat: np.ndarray
     mse_cos: float
     mse_theta: float
-    rms_theta: float
     stderr: float
     theory_mse_cos: float
     theory_mse: float
-    qcrb: float
-    seed: int
-
-    def csv_row(self) -> dict:
-        sc = self.scenario
-        return {
-            "variant": self.variant.value,
-            "theta": self.theta_true,
-            "N_S": sc.N_S,
-            "N_B": sc.N_B,
-            "M": sc.M,
-            "mse_cos": self.mse_cos,
-            "mse_theta": self.mse_theta,
-            "theory_mse_cos": self.theory_mse_cos,
-            "theory_mse": self.theory_mse,
-            "qcrb": self.qcrb,
-            "seed": self.seed,
-        }
 
 
 def _stream(seed: int, point_index: int) -> np.random.Generator:
@@ -74,8 +53,6 @@ def _stream(seed: int, point_index: int) -> np.random.Generator:
 def _jackknife_stderr(errors: np.ndarray) -> float:
     """Delete-one jackknife standard error of the mean squared error."""
     k = errors.size
-    if k < 2:
-        return math.nan
     total = errors.sum()
     leave_one_out = (total - errors) / (k - 1)
     center = leave_one_out.mean()
@@ -98,7 +75,6 @@ def simulate(
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
     point_index: int = 0,
-    compute_qcrb: bool = True,
 ) -> EstimationResult:
     """Run K independent sensing shots and summarize the estimators.
 
@@ -114,7 +90,7 @@ def simulate(
     draws = _stream(seed, point_index).normal(
         loc=m * stats.mean_diff, scale=math.sqrt(m * stats.var_diff), size=shots
     )
-    cos_hat, theta_hat = cosine_estimator(stats, m, draws)
+    cos_hat, theta_hat = cosine_estimator(stats, draws)
 
     theta = scenario.theta
     cos_err = cos_hat - math.cos(theta)
@@ -122,25 +98,19 @@ def simulate(
     mse_cos = float(np.mean(cos_err**2))
     mse_theta = float(np.mean(th_err**2))
 
-    var_cos = _var_cos(stats, m)
     try:
-        _, th_theory = theory_mse(stats, m)
+        _, th_theory = theory_mse(stats)
     except ValueError:
         th_theory = math.inf
-    qcrb = qfi_phase(scenario, variant).qcrb_var if compute_qcrb else math.nan
 
     return EstimationResult(
         scenario=scenario,
         variant=variant,
-        theta_true=theta,
         cos_hat=cos_hat,
         theta_hat=theta_hat,
         mse_cos=mse_cos,
         mse_theta=mse_theta,
-        rms_theta=math.sqrt(mse_theta),
         stderr=_jackknife_stderr(th_err**2),
-        theory_mse_cos=var_cos,
+        theory_mse_cos=stats.var_cos,
         theory_mse=th_theory,
-        qcrb=qcrb,
-        seed=seed,
     )

@@ -30,7 +30,7 @@ class CalibrationError(ValueError):
 @dataclass(frozen=True)
 class ReceiverStats:
     """Per-mode statistics of the balanced difference count at the
-    scenario's phase, with the calibration amplitude A = mean_diff(0)."""
+    scenario's phase, with the nonzero calibration amplitude A = mean_diff(0)."""
 
     mean_diff: float
     var_diff: float
@@ -38,6 +38,16 @@ class ReceiverStats:
     variant: ProtocolVariant
     scenario: SensingScenario
     arm_means: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        if self.calib_scale == 0.0:
+            name = _RECEIVERS[self.variant][0]
+            raise CalibrationError(f"{name} cosine amplitude is zero (no cross correlation)")
+
+    @property
+    def var_cos(self) -> float:
+        """Variance of the cosine estimator from the scenario's M mode pairs."""
+        return self.var_diff / (self.scenario.M * self.calib_scale**2)
 
 
 def _pcr_state(scenario: SensingScenario) -> g.GaussianState:
@@ -63,13 +73,11 @@ _RECEIVERS = {
 def receiver_stats(scenario: SensingScenario, variant: ProtocolVariant) -> ReceiverStats:
     """Difference-count statistics of the variant's receiver, calibrated
     by a second pass at theta = 0."""
-    name, state_of, (mode_a, mode_b) = _RECEIVERS[variant]
+    _, state_of, (mode_a, mode_b) = _RECEIVERS[variant]
     state = state_of(scenario)
     mean, var = g.difference_stats(state, mode_a, mode_b)
     arms = (g.photon_mean(state, mode_a), g.photon_mean(state, mode_b))
     calib, _ = g.difference_stats(state_of(scenario.with_(theta=0.0)), mode_a, mode_b)
-    if calib == 0.0:
-        raise CalibrationError(f"{name} cosine amplitude is zero (no cross correlation)")
     return ReceiverStats(mean, var, calib, variant, scenario, arms)
 
 
@@ -84,38 +92,24 @@ def hr_stats(scenario: SensingScenario) -> ReceiverStats:
 
 
 def cosine_estimator(
-    stats: ReceiverStats, m_pairs: int, total_diff_counts: np.ndarray
+    stats: ReceiverStats, total_diff_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scale aggregate difference counts (one per shot) into unbiased
-    cosine estimates; the phase estimates are the clamped arccos (always in
-    [0, pi], never a domain error).  Returns (cos_hat, theta_hat)."""
-    if m_pairs < 1:
-        raise ValueError("need at least one mode pair")
-    if stats.calib_scale == 0.0:
-        raise CalibrationError("cannot scale by a zero calibration amplitude")
-    cos_hat = total_diff_counts / (m_pairs * stats.calib_scale)
+    """Scale aggregate difference counts over the scenario's M mode pairs
+    (one per shot) into unbiased cosine estimates and their clamped arccos
+    (in [0, pi], never a domain error).  Returns (cos_hat, theta_hat)."""
+    cos_hat = total_diff_counts / (stats.scenario.M * stats.calib_scale)
     # math.acos, not np.arccos: the vectorised arccos can differ in the last bit.
-    # np.clip keeps a NaN where max(-1.0, nan) gave -1; the normal draws are finite.
     clamped = np.clip(cos_hat, -1.0, 1.0).tolist()
     theta_hat = np.fromiter(map(math.acos, clamped), np.float64, count=len(clamped))
     return cos_hat, theta_hat
 
 
-def theory_mse(stats: ReceiverStats, m_pairs: int) -> tuple[float, float]:
-    """(var_cos, var_theta) of the estimators built from M i.i.d. mode
-    pairs.  var_theta comes from the delta method and is singular at
-    theta in {0, pi}; it degrades already for |sin theta| < 0.1."""
-    if m_pairs < 1:
-        raise ValueError("need at least one mode pair")
-    if stats.calib_scale == 0.0:
-        raise CalibrationError("zero calibration amplitude")
+def theory_mse(stats: ReceiverStats) -> tuple[float, float]:
+    """(var_cos, var_theta) of the estimators built from the scenario's M
+    i.i.d. mode pairs.  var_theta comes from the delta method and is
+    singular at theta in {0, pi}; it degrades already for |sin theta| < 0.1."""
     s = math.sin(stats.scenario.theta)
     if s == 0.0:
         raise ValueError("delta method is singular at theta = 0 or pi")
-    var_cos = _var_cos(stats, m_pairs)
+    var_cos = stats.var_cos
     return var_cos, var_cos / s**2
-
-
-def _var_cos(stats: ReceiverStats, m_pairs: int) -> float:
-    """Variance of the cosine estimator from M i.i.d. mode pairs."""
-    return stats.var_diff / (m_pairs * stats.calib_scale**2)

@@ -56,8 +56,8 @@ def test_criterion_1_quantum_advantage_direction(capsys):
     for w in (1e8, 1e9, 1e10):
         for theta in thetas:
             sc = SensingScenario(W=w, theta=float(theta))
-            re_ = simulate(sc, ENT, 2000, seed=0, point_index=idx, compute_qcrb=False)
-            rc_ = simulate(sc, CLS, 2000, seed=0, point_index=idx + 1, compute_qcrb=False)
+            re_ = simulate(sc, ENT, 2000, seed=0, point_index=idx)
+            rc_ = simulate(sc, CLS, 2000, seed=0, point_index=idx + 1)
             idx += 2
             rms_e, rms_c = math.sqrt(re_.mse_cos), math.sqrt(rc_.mse_cos)
             worst_gap = min(worst_gap, rms_c - rms_e)
@@ -74,8 +74,8 @@ def test_criterion_1_quantum_advantage_direction(capsys):
 def test_criterion_2_mse_advantage_magnitude(capsys):
     """Ideal-device theory MSE ratio entangled/classical <= 0.60."""
     sc = SensingScenario(kappa_I=1.0, G_pc=1.01, N_B=160.0, N_S=8e-4, theta=math.pi / 2)
-    _, v_ent = theory_mse(pcr_stats(sc), sc.M)
-    _, v_cls = theory_mse(hr_stats(sc), sc.M)
+    _, v_ent = theory_mse(pcr_stats(sc))
+    _, v_cls = theory_mse(hr_stats(sc))
     ratio = v_ent / v_cls
     report(capsys, 2, ratio <= 0.60, f"ideal-device MSE ratio {ratio:.4f} <= 0.60")
 
@@ -90,8 +90,8 @@ def test_criterion_3_near_optimality(capsys):
         sc = base.with_(N_S=solve_ns_for_epsilon(2e-4, base))
         stats = receiver_stats(sc, ENT)
         q = qfi_phase(sc, ENT)
-        worst_eff = min(worst_eff, receiver_fisher(stats, sc.theta) / q.J)
-        res = simulate(sc, ENT, 2000, seed=0, point_index=i, compute_qcrb=False)
+        worst_eff = min(worst_eff, receiver_fisher(stats) / q.J)
+        res = simulate(sc, ENT, 2000, seed=0, point_index=i)
         sim_mse_theta = res.mse_cos / math.sin(sc.theta) ** 2
         worst_excess = max(worst_excess, sim_mse_theta / q.qcrb_var)
     ok = worst_eff >= 0.80 and worst_excess <= 1.3
@@ -113,7 +113,7 @@ def test_criterion_4_fixed_covertness_flatness(capsys):
         for n_b in nb_grid:
             base = SensingScenario(W=1e10, N_B=n_b)
             sc = base.with_(N_S=solve_ns_for_epsilon(2e-4, base))
-            _, v = theory_mse(receiver_stats(sc, variant), sc.M)
+            _, v = theory_mse(receiver_stats(sc, variant))
             vals.append(v)
             if variant is ENT:
                 eps_vals.append(epsilon_of(sc))
@@ -143,7 +143,7 @@ def test_criterion_5_square_root_law(capsys):
         return pe_optimal_counting(n0, n1, sc.M).pe
 
     def slope(scenarios, variant):
-        mses = [theory_mse(receiver_stats(sc, variant), sc.M)[1] for sc in scenarios]
+        mses = [theory_mse(receiver_stats(sc, variant))[1] for sc in scenarios]
         return float(np.polyfit(np.log(t_grid), np.log(mses), 1)[0])
 
     pe_obey = np.array([pe_of(sc) for sc in obey])
@@ -354,15 +354,12 @@ def test_criterion_8_bound_ladder_and_estimator_sanity(capsys, tmp_path):
     bound = 3.0 * math.sqrt(2.0 / 2000.0)
     worst_dev = 0.0
     for i, (variant, n_b) in enumerate(((ENT, 160.0), (CLS, 160.0), (ENT, 640.0))):
-        res = simulate(
-            SensingScenario(N_B=n_b), variant, 2000, seed=7, point_index=i,
-            compute_qcrb=False,
-        )
+        res = simulate(SensingScenario(N_B=n_b), variant, 2000, seed=7, point_index=i)
         worst_dev = max(worst_dev, abs(res.mse_cos / res.theory_mse_cos - 1.0))
     concentration_ok = worst_dev <= bound
 
-    a = simulate(SensingScenario(), ENT, 2000, seed=3, compute_qcrb=False)
-    b = simulate(SensingScenario(), ENT, 2000, seed=3, compute_qcrb=False)
+    a = simulate(SensingScenario(), ENT, 2000, seed=3)
+    b = simulate(SensingScenario(), ENT, 2000, seed=3)
     args = ["fig3", "--shots", "100", "--set", "compute_qcrb=false",
             "--set", "theta_grid=[1.5707963267948966]"]
     runner = CliRunner()

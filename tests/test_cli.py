@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +38,32 @@ def test_fig3_seed_changes_output(tmp_path):
     run([*args, "--seed", "1", "--out", str(tmp_path / "a.csv")])
     run([*args, "--seed", "2", "--out", str(tmp_path / "b.csv")])
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+
+def test_fig3_monte_carlo_row_columns(tmp_path):
+    res = run(["fig3", "--shots", "100", "--set", f"theta_grid={THETA3}",
+               "--out", str(tmp_path / "f.csv")])
+    assert res.exit_code == 0
+    rows = list(csv.DictReader(
+        l for l in (tmp_path / "f.csv").read_text().splitlines() if not l.startswith("#")
+    ))
+    assert list(rows[0]) == [
+        "variant", "theta", "N_S", "N_B", "M", "mse_cos", "mse_theta", "theory_mse_cos",
+        "theory_mse", "qcrb", "seed", "rms_cos", "rms_theta", "stderr",
+    ]
+    assert len(rows) == 6
+    for row in rows:
+        assert 0.0 < float(row["qcrb"]) < math.inf
+        assert float(row["rms_theta"]) == math.sqrt(float(row["mse_theta"]))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3
+    assert all(0.0 < float(v) < math.inf for v in printed)
 
 
 def test_json_format_mirrors_csv_rows(tmp_path):
@@ -175,6 +203,22 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False", "False"]
+
+
+def test_montecarlo_import_leaves_out_metrology():
+    # the package __init__ imports every layer, so load montecarlo under a
+    # bare package module to see only what montecarlo itself pulls in
+    code = (
+        "import importlib.util, sys, types; "
+        "pkg = types.ModuleType('covertsense'); "
+        "pkg.__path__ = list(importlib.util.find_spec('covertsense').submodule_search_locations); "
+        "sys.modules['covertsense'] = pkg; "
+        "import covertsense.montecarlo; "
+        "print('covertsense.receivers' in sys.modules, 'covertsense.metrology' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_qcrb_runs_without_mpmath(tmp_path):

@@ -18,7 +18,7 @@ from covertsense.metrology import (
     receiver_fisher,
 )
 from covertsense.protocol import ProtocolVariant, SensingScenario, tmsv
-from covertsense.receivers import CalibrationError, pcr_stats, receiver_stats
+from covertsense.receivers import CalibrationError, pcr_stats, receiver_stats, theory_mse
 
 QCRB_VARIANTS = (ProtocolVariant.ENTANGLED, ProtocolVariant.CLASSICAL_THERMAL)
 
@@ -104,17 +104,14 @@ def test_qfi_of_family_on_explicit_rotation():
 def test_receiver_fisher_matches_theory_inverse():
     sc = SensingScenario(theta=1.1)
     stats = pcr_stats(sc)
-    j = receiver_fisher(stats, sc.theta)
-    from covertsense.receivers import theory_mse
-
-    _, var_theta = theory_mse(stats, 1)
-    assert j == pytest.approx(1.0 / var_theta, rel=1e-10)
+    _, var_theta = theory_mse(stats)
+    assert receiver_fisher(stats) == pytest.approx(1.0 / (sc.M * var_theta), rel=1e-10)
 
 
 def test_receiver_never_beats_qcrb():
     sc = SensingScenario()
     stats = pcr_stats(sc)
-    j_rec = receiver_fisher(stats, sc.theta)
+    j_rec = receiver_fisher(stats)
     j_q = qfi_phase(sc, ProtocolVariant.ENTANGLED).J
     assert j_rec <= j_q * (1.0 + 1e-6)
 
@@ -131,7 +128,7 @@ def test_qfi_zero_background():
         res = qfi_phase(sc, variant)
         assert math.isfinite(res.J)
         assert res.J == pytest.approx(laws[variant], rel=0.02)
-        assert receiver_fisher(receiver_stats(sc, variant), sc.theta) <= res.J
+        assert receiver_fisher(receiver_stats(sc, variant)) <= res.J
 
 
 def _log_uniform(lo: float, hi: float):
@@ -180,7 +177,7 @@ def test_bounds_hold_over_the_scenario_domain():
                 report = covertness_report(sc)
                 stats = receiver_stats(sc, variant)
                 assert stats.var_diff >= 0.0
-                j_rec = receiver_fisher(stats, sc.theta)
+                j_rec = receiver_fisher(stats)
                 j_q = qfi_phase(sc, variant).J
             except (ValueError, CalibrationError, ConvergenceError):
                 reached.append(False)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from covertsense.protocol import ProtocolVariant, SensingScenario
 from covertsense.receivers import (
     CalibrationError,
+    ReceiverStats,
     cosine_estimator,
     hr_stats,
     pcr_stats,
@@ -47,38 +49,45 @@ def test_zero_probe_degenerate_calibration():
         pcr_stats(DESK.with_(N_S=0.0))
 
 
+def test_receiver_stats_rejects_zero_calibration_however_built():
+    with pytest.raises(CalibrationError, match="^PCR cosine amplitude is zero"):
+        ReceiverStats(0.0, 1.0, 0.0, ProtocolVariant.ENTANGLED, DESK, (1.0, 1.0))
+    with pytest.raises(CalibrationError, match="^HR cosine amplitude is zero"):
+        dataclasses.replace(hr_stats(DESK), calib_scale=0.0)
+
+
 def test_cosine_estimator_scaling():
     st = pcr_stats(DESK)
     m = DESK.M
     thetas = np.array([0.2, 0.7, 2.5])
-    cos_hat, theta_hat = cosine_estimator(st, m, m * st.calib_scale * np.cos(thetas))
+    cos_hat, theta_hat = cosine_estimator(st, m * st.calib_scale * np.cos(thetas))
     assert cos_hat == pytest.approx(np.cos(thetas), rel=1e-12)
     assert theta_hat == pytest.approx(thetas, rel=1e-12)
 
 
 def test_cosine_estimator_clamps_out_of_range():
     st = pcr_stats(DESK)
-    cos_hat, theta_hat = cosine_estimator(st, 10, np.array([1e9, -1e9]))
+    cos_hat, theta_hat = cosine_estimator(st, np.array([2.0, -2.0]) * DESK.M * st.calib_scale)
     assert cos_hat[0] > 1.0 and cos_hat[1] < -1.0
     assert theta_hat.tolist() == [0.0, math.pi]
 
 
 def test_cosine_estimator_is_clamped_math_acos_per_shot():
     st = pcr_stats(DESK)
-    m = 1000
+    m = DESK.M
     rng = np.random.default_rng(4)
     # spread wide enough that a good share of shots land outside [-1, 1]
     draws = rng.normal(0.0, 1.5 * m * st.calib_scale, size=5000)
-    cos_hat, theta_hat = cosine_estimator(st, m, draws)
+    cos_hat, theta_hat = cosine_estimator(st, draws)
     assert np.any(np.abs(cos_hat) > 1.0) and np.any(np.abs(cos_hat) < 1.0)
     expected = [math.acos(min(1.0, max(-1.0, c))) for c in cos_hat.tolist()]
     assert theta_hat.tolist() == expected
 
 
 def test_theory_mse_scales_inverse_m():
-    st = pcr_stats(DESK)
-    v1, t1 = theory_mse(st, 1000)
-    v2, t2 = theory_mse(st, 4000)
+    # the per-mode statistics do not depend on W or T, only M = W*T does
+    v1, t1 = theory_mse(pcr_stats(DESK.with_(W=1000.0, T=1.0)))
+    v2, t2 = theory_mse(pcr_stats(DESK.with_(W=4000.0, T=1.0)))
     assert v1 / v2 == pytest.approx(4.0, rel=1e-12)
     assert t1 / t2 == pytest.approx(4.0, rel=1e-12)
 
@@ -86,13 +95,13 @@ def test_theory_mse_scales_inverse_m():
 def test_theory_mse_singular_at_theta_zero():
     st = pcr_stats(DESK.with_(theta=0.0))
     with pytest.raises(ValueError):
-        theory_mse(st, 100)
+        theory_mse(st)
 
 
 def test_entangled_beats_classical_at_reference_point():
     sc = SensingScenario()
-    _, ve = theory_mse(pcr_stats(sc), sc.M)
-    _, vc = theory_mse(hr_stats(sc), sc.M)
+    _, ve = theory_mse(pcr_stats(sc))
+    _, vc = theory_mse(hr_stats(sc))
     assert ve < vc
 
 
