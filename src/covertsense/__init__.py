@@ -9,6 +9,7 @@ runner.
 __version__ = "0.1.0"
 
 from .gaussian import (
+    GaussianStack,
     GaussianState,
     ModeError,
     StateError,
@@ -23,6 +24,7 @@ from .protocol import (
     ProtocolVariant,
     SensingScenario,
     build_receiver_input,
+    build_receiver_inputs,
     split_thermal,
     tmsv,
     willie_brightnesses,
@@ -34,6 +36,7 @@ from .receivers import (
     hr_stats,
     pcr_stats,
     receiver_stats,
+    stacked_receiver_stats,
     theory_mse,
 )
 from .adversary import (
@@ -63,6 +66,7 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
+    "GaussianStack",
     "GaussianState",
     "ModeError",
     "StateError",
@@ -75,6 +79,7 @@ __all__ = [
     "ProtocolVariant",
     "SensingScenario",
     "build_receiver_input",
+    "build_receiver_inputs",
     "split_thermal",
     "tmsv",
     "willie_brightnesses",
@@ -84,6 +89,7 @@ __all__ = [
     "hr_stats",
     "pcr_stats",
     "receiver_stats",
+    "stacked_receiver_stats",
     "theory_mse",
     "CovertnessReport",
     "DetectionTest",

@@ -9,7 +9,6 @@ per-command defaults.  Unknown keys are rejected up front; identical
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import sys
@@ -23,8 +22,9 @@ import yaml
 from . import __version__
 from .adversary import covertness_report, solve_ns_for_epsilon, sqrt_law_schedule
 from .metrology import qfi_phase
-from .montecarlo import DEFAULT_SHOTS, simulate
+from .montecarlo import DEFAULT_SHOTS, check_shots, simulate
 from .protocol import ProtocolVariant, SensingScenario
+from .receivers import ReceiverStats, stacked_receiver_stats
 
 _SCENARIO_DEFAULTS = asdict(SensingScenario())
 
@@ -189,11 +189,16 @@ def _finish(command: str, config: dict, points: list, out: str, fmt: str) -> Non
         sys.exit(1)
 
 
-def _mc_row(config: dict, case: Callable[[], tuple[SensingScenario, dict]],
-            variant: ProtocolVariant, point_index: int) -> dict:
-    scenario, extra = case()
-    res = simulate(scenario, variant, shots=config["shots"], seed=config["seed"],
-                   point_index=point_index)
+def _mc_row(config: dict, case: tuple[SensingScenario, dict] | Exception,
+            stats: ReceiverStats | Exception, variant: ProtocolVariant,
+            point_index: int) -> dict:
+    if isinstance(case, Exception):
+        raise case
+    scenario, extra = case
+    check_shots(config["shots"])  # simulate's first check comes before the point's own failure
+    if isinstance(stats, Exception):
+        raise stats
+    res = simulate(stats, shots=config["shots"], seed=config["seed"], point_index=point_index)
     qcrb = qfi_phase(scenario, variant).qcrb_var if config["compute_qcrb"] else math.nan
     return {
         **extra,
@@ -219,18 +224,29 @@ def _mc_points(
 ) -> list[tuple[str, Callable[[], dict]]]:
     """One Monte Carlo point per (case, variant), in that order.  A case is
     (label, build), where build() returns the scenario and the row's extra
-    columns.  It runs inside the case's first point and its result is kept
-    for the others; a case that raises fails only its own points, each with
-    the same error.  A point's position is its point index, which keys its
-    RNG stream."""
-    points = []
+    columns.  Every case is built first; then one stacked call per variant
+    gives the receiver statistics of every built case.  A case whose build
+    raises fails only its own points, each with that error, and a point
+    whose statistics fail fails alone with theirs.  A point's position is
+    its point index, which keys its RNG stream."""
     variants = _variants_of(config)
-    for label, build in cases:
-        case = functools.cache(build)
-        for variant in variants:
+    built: list[tuple[SensingScenario, dict] | Exception] = []
+    for _, build in cases:
+        try:
+            built.append(build())
+        except Exception as exc:  # noqa: BLE001 - raised again by each of the case's points
+            built.append(exc)
+    scenarios = [case[0] for case in built if not isinstance(case, Exception)]
+    stats = [iter(stacked_receiver_stats(scenarios, variant)) for variant in variants]
+    points = []
+    for (label, _), case in zip(cases, built):
+        for variant, variant_stats in zip(variants, stats):
+            # a case that failed to build has no statistics: its error stands in
+            point_stats = case if isinstance(case, Exception) else next(variant_stats)
             i = len(points)
             points.append((f"{label} variant={variant.value}",
-                           lambda case=case, v=variant, i=i: _mc_row(config, case, v, i)))
+                           lambda case=case, s=point_stats, v=variant, i=i:
+                           _mc_row(config, case, s, v, i)))
     return points
 
 

@@ -12,17 +12,30 @@ Conventions (fixed once, tested everywhere):
   probes and the thermal background start at zero mean, and every gate
   here is linear in the quadratures, so it keeps the mean at zero.
 
-All operations are pure: they return new states and never mutate inputs.
-Every `GaussianState` is validated on construction (symmetry and the
-uncertainty relation), gate outputs included, so no operation can hand
-back an unphysical intermediate state.
+A `GaussianState` is one state.  A `GaussianStack` is P states on the same
+modes, held as a (P, 2n, 2n) covariance stack, so that one call builds the
+states of a whole grid.  Every operation takes either kind, and each of its
+numeric parameters is a number or a sequence of P numbers, one per slice.
+It returns a `GaussianStack` when the state or a parameter is stacked, and
+a `GaussianState` otherwise: a single state is the P = 1 case of the same
+code.  All operations are pure: they return new states and never mutate
+inputs.
+
+Every state is validated after every operation, slice by slice, stacked or
+not: symmetry, then the uncertainty relation, each within a tolerance
+scaled by the slice's own max(1, max|cov|).  A `GaussianState` raises its
+failure.  A `GaussianStack` records the first failure of each slice, an
+out-of-range parameter or a failed check, in `errors`, and holds the vacuum
+in that slice from then on, so one bad slice never fails, warns or raises
+for the others.  No operation can hand back an unphysical intermediate
+state.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,30 +68,41 @@ def _i_omega(n_modes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """A zero-mean Gaussian state: labeled modes and a covariance matrix."""
+def _check(cov: np.ndarray) -> dict[int, Exception]:
+    """The validation failures of a (P, 2n, 2n) stack, by slice index."""
+    n = cov.shape[-1] // 2
+    peak = np.abs(cov).max(axis=(1, 2))
+    scale = np.where(peak > 1.0, peak, 1.0)  # max(1.0, peak): 1.0 at a NaN peak too
+    asym = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2))
+    asym_bad = asym > SYMMETRY_TOL * scale
+    errors: dict[int, Exception] = {
+        k: StateError("covariance matrix is not symmetric")
+        for k in np.flatnonzero(asym_bad).tolist()
+    }
+    try:
+        min_eig = np.linalg.eigvalsh(cov + _i_omega(n)).min(axis=1)
+    except np.linalg.LinAlgError as exc:
+        # a slice the eigensolver fails on (one that is not finite) fails alone
+        if len(cov) > 1:
+            return {k: e for k in range(len(cov)) for e in _check(cov[k : k + 1]).values()}
+        return {0: errors.get(0, exc)}
+    eig_bad = (min_eig < -UNCERTAINTY_TOL * scale) & ~asym_bad
+    for k in np.flatnonzero(eig_bad).tolist():
+        errors[k] = StateError(
+            f"covariance violates the uncertainty relation (min eig {float(min_eig[k]):.3e})"
+        )
+    return errors
 
+
+def _labels(mode_labels: Sequence[str]) -> tuple[str, ...]:
+    labels = tuple(mode_labels)
+    if len(set(labels)) != len(labels):
+        raise ModeError(f"duplicate mode labels: {labels}")
+    return labels
+
+
+class _Modes:
     mode_labels: tuple[str, ...]
-    cov: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.mode_labels)
-        object.__setattr__(self, "mode_labels", labels)
-        if len(set(labels)) != len(labels):
-            raise ModeError(f"duplicate mode labels: {labels}")
-        n = len(labels)
-        cov = np.asarray(self.cov, dtype=float).reshape(2 * n, 2 * n)
-        object.__setattr__(self, "cov", cov)
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
-            raise StateError("covariance matrix is not symmetric")
-        herm = cov + _i_omega(n)
-        min_eig = float(np.min(np.linalg.eigvalsh(herm)))
-        if min_eig < -UNCERTAINTY_TOL * scale:
-            raise StateError(
-                f"covariance violates the uncertainty relation (min eig {min_eig:.3e})"
-            )
 
     @property
     def n_modes(self) -> int:
@@ -90,14 +114,134 @@ class GaussianState:
         except ValueError:
             raise ModeError(f"unknown mode {label!r}; have {self.mode_labels}") from None
 
+
+@dataclass(frozen=True)
+class GaussianState(_Modes):
+    """A zero-mean Gaussian state: labeled modes and a covariance matrix."""
+
+    mode_labels: tuple[str, ...]
+    cov: np.ndarray
+
+    def __post_init__(self):
+        labels = _labels(self.mode_labels)
+        object.__setattr__(self, "mode_labels", labels)
+        n = len(labels)
+        cov = np.asarray(self.cov, dtype=float).reshape(2 * n, 2 * n)
+        object.__setattr__(self, "cov", cov)
+        error = _check(cov[None]).get(0)
+        if error is not None:
+            raise error
+
     def mode_block(self, label: str) -> np.ndarray:
         """Covariance restricted to one mode."""
         i = 2 * self.mode_index(label)
         return self.cov[i : i + 2, i : i + 2].copy()
 
-    def cross_block(self, label_a: str, label_b: str) -> np.ndarray:
-        ia, ib = 2 * self.mode_index(label_a), 2 * self.mode_index(label_b)
-        return self.cov[ia : ia + 2, ib : ib + 2].copy()
+
+@dataclass(frozen=True)
+class GaussianStack(_Modes):
+    """P zero-mean Gaussian states on the same labeled modes: cov[k] is the
+    covariance matrix of slice k, and errors[k] the first failure of slice k,
+    or None while it is valid.  A failed slice holds the vacuum."""
+
+    mode_labels: tuple[str, ...]
+    cov: np.ndarray
+    errors: tuple[Exception | None, ...] | None = None
+
+    def __post_init__(self):
+        labels = _labels(self.mode_labels)
+        object.__setattr__(self, "mode_labels", labels)
+        n = len(labels)
+        cov = np.asarray(self.cov, dtype=float)
+        cov = cov.reshape(len(cov), 2 * n, 2 * n)
+        errors = [None] * len(cov) if self.errors is None else list(self.errors)
+        if len(errors) != len(cov):
+            raise ValueError(f"{len(errors)} slice errors for {len(cov)} slices")
+        for k, error in _check(cov).items():
+            errors[k] = errors[k] or error
+        failed = [k for k, error in enumerate(errors) if error is not None]
+        if failed:
+            cov = cov.copy()
+            cov[failed] = np.eye(2 * n)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "errors", tuple(errors))
+
+    def __len__(self) -> int:
+        return len(self.cov)
+
+    def states(self) -> list[GaussianState]:
+        """The slices as GaussianStates; raises the failure of the first
+        slice that has one."""
+        for error in self.errors:
+            if error is not None:
+                raise error
+        out = []
+        for cov in self.cov:
+            # every slice passed the checks on construction: skip a second run
+            state = object.__new__(GaussianState)
+            object.__setattr__(state, "mode_labels", self.mode_labels)
+            object.__setattr__(state, "cov", cov)
+            out.append(state)
+        return out
+
+
+State = GaussianState | GaussianStack
+
+
+def _shape(state: State) -> tuple[int, ...]:
+    return (len(state),) if isinstance(state, GaussianStack) else ()
+
+
+def _broadcast(state: State, shape: tuple[int, ...]):
+    """(cov, errors, single): the state's (P, 2n, 2n) covariance stack and
+    slice errors, broadcast against per-slice parameters of `shape` (() for
+    one value), and whether the result is one GaussianState."""
+    if isinstance(state, GaussianStack):
+        cov, errors, single = state.cov, state.errors, False
+    else:
+        cov, errors, single = state.cov[None], (None,), shape == ()
+    size = shape[0] if shape and shape[0] != 1 else len(cov)
+    if len(cov) != size:
+        if len(cov) != 1:
+            raise ValueError(f"{size} parameter values for {len(cov)} slices")
+        cov = np.broadcast_to(cov, (size, *cov.shape[1:]))
+        errors *= size
+    return cov, errors, single
+
+
+def _result(labels: tuple[str, ...], cov: np.ndarray, errors, single: bool) -> State:
+    """The validated result of an operation: a GaussianState, which raises
+    its failure, or a GaussianStack."""
+    if single:
+        return GaussianState(labels, cov[0])
+    return GaussianStack(labels, cov, errors)
+
+
+def _reject(
+    state: State,
+    value,
+    is_bad: Callable[[np.ndarray], np.ndarray],
+    error_of: Callable[[float], Exception],
+    neutral: float,
+) -> tuple[State, np.ndarray]:
+    """Check a parameter, a number or one per slice.  Each slice whose value
+    is bad fails with error_of(value), unless it has failed already; a single
+    state with one value raises it before any work, as the single-state
+    operations always have.  Returns the state and the parameter with
+    `neutral` in place of each bad value, so no failed slice reaches NaN."""
+    values = np.asarray(value, dtype=float)
+    bad = is_bad(values)
+    if not bad.any():
+        return state, values
+    if isinstance(state, GaussianState) and values.ndim == 0:
+        raise error_of(value)
+    cov, errors, _ = _broadcast(state, values.shape)
+    slice_values = np.broadcast_to(values, (len(cov),)).tolist()
+    bad = np.broadcast_to(bad, (len(cov),)).tolist()
+    errors = tuple(
+        error_of(v) if b and e is None else e for e, b, v in zip(errors, bad, slice_values)
+    )
+    return GaussianStack(state.mode_labels, cov, errors), np.where(bad, neutral, values)
 
 
 def vacuum(mode_labels: Sequence[str]) -> GaussianState:
@@ -114,81 +258,109 @@ def thermal(mean_photons: float, label: str = "m0") -> GaussianState:
     return GaussianState((label,), (2 * mean_photons + 1) * np.eye(2))
 
 
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two disjoint registers."""
+def tensor(a: State, b: State) -> State:
+    """Product state of two disjoint registers.  A stack pairs each of its
+    slices with the same slice of the other stack, or with the other state."""
     if set(a.mode_labels) & set(b.mode_labels):
         raise ModeError("mode labels overlap")
-    n = a.n_modes + b.n_modes
-    cov = np.zeros((2 * n, 2 * n))
-    cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
-    cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
-    return GaussianState(a.mode_labels + b.mode_labels, cov)
+    cov_a, errors_a, single = _broadcast(a, _shape(b))
+    cov_b, errors_b, _ = _broadcast(b, _shape(a))
+    na = 2 * a.n_modes
+    n = na + 2 * b.n_modes
+    cov = np.zeros((len(cov_a), n, n))
+    cov[:, :na, :na] = cov_a
+    cov[:, na:, na:] = cov_b
+    errors = tuple(ea or eb for ea, eb in zip(errors_a, errors_b))
+    return _result(a.mode_labels + b.mode_labels, cov, errors, single)
 
 
-def _gate(state: GaussianState, labels: Sequence[str], small: np.ndarray) -> GaussianState:
-    """Apply a symplectic acting on `labels`, expanded to the full mode set."""
-    S = np.eye(2 * state.n_modes)
+def _gate(state: State, labels: Sequence[str], small) -> State:
+    """Apply a symplectic acting on `labels`, expanded to the full mode set:
+    one (k, k) matrix, or a (P, k, k) stack of one per slice."""
+    small = np.asarray(small, dtype=float)
+    cov, errors, single = _broadcast(state, small.shape[:-2])
+    size, dim = cov.shape[:2]
+    if small.ndim == 2:
+        small = small[None]
+    S = np.eye(dim)[None].repeat(size, axis=0)
     starts = [2 * state.mode_index(lab) for lab in labels]
     for a, i in enumerate(starts):
         for b, j in enumerate(starts):
-            S[i : i + 2, j : j + 2] = small[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
-    return GaussianState(state.mode_labels, S @ state.cov @ S.T)
+            S[:, i : i + 2, j : j + 2] = small[:, 2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+    return _result(state.mode_labels, S @ cov @ S.transpose(0, 2, 1), errors, single)
 
 
-def phase_symplectic(theta: float) -> np.ndarray:
-    """Phase-space rotation for a -> exp(i theta) a."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _matrix(rows) -> np.ndarray:
+    """A (k, k) matrix of numbers, or a (P, k, k) stack where entries are
+    arrays of P values."""
+    shape = np.broadcast(*(x for row in rows for x in row)).shape
+    out = np.empty((*shape, len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[..., i, j] = x
+    return out
 
 
-def beamsplitter_symplectic(transmissivity: float) -> np.ndarray:
+def phase_symplectic(theta) -> np.ndarray:
+    """Phase-space rotation for a -> exp(i theta) a; one per phase for a
+    sequence of phases."""
+    theta = np.asarray(theta, dtype=float)
+    # One phase at a time, as for a single state: np.cos and np.sin are not
+    # correctly rounded, so a vectorised loop need not round like the call
+    # on one float (they agreed on every phase tried, but nothing promises it).
+    c = np.array([np.cos(t) for t in theta.flat]).reshape(theta.shape)
+    s = np.array([np.sin(t) for t in theta.flat]).reshape(theta.shape)
+    return _matrix([[c, -s], [s, c]])
+
+
+def beamsplitter_symplectic(transmissivity) -> np.ndarray:
     """Two-mode beamsplitter: a -> sqrt(eta) a + sqrt(1-eta) b."""
     t, r = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
     # the entries, signed zeros included, of [[t I, r I], [-r I, t I]]
-    return np.array(
+    return _matrix(
         [[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, -0.0, t, 0.0], [-0.0, -r, 0.0, t]]
     )
 
 
-def two_mode_squeeze_symplectic(gain: float) -> np.ndarray:
+def two_mode_squeeze_symplectic(gain) -> np.ndarray:
     """Two-mode squeezer: a -> sqrt(G) a + sqrt(G-1) b^dagger."""
     g, h = np.sqrt(gain), np.sqrt(gain - 1.0)
     # the entries, signed zeros included, of [[g I, h Z], [h Z, g I]], Z = diag(1, -1)
-    return np.array(
+    return _matrix(
         [[g, 0.0, h, 0.0], [0.0, g, 0.0, -h], [h, 0.0, g, 0.0], [0.0, -h, 0.0, g]]
     )
 
 
-def apply_phase(state: GaussianState, mode: str, theta: float) -> GaussianState:
+def apply_phase(state: State, mode: str, theta) -> State:
     """Rotate one mode by theta; photon statistics are unchanged."""
     return _gate(state, [mode], phase_symplectic(theta))
 
 
-def apply_beamsplitter(
-    state: GaussianState, mode_a: str, mode_b: str, transmissivity: float
-) -> GaussianState:
+def apply_beamsplitter(state: State, mode_a: str, mode_b: str, transmissivity) -> State:
     """Mix two modes on a beamsplitter of the given transmissivity."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {transmissivity}")
+    state, eta = _reject(
+        state,
+        transmissivity,
+        lambda t: ~((0.0 <= t) & (t <= 1.0)),
+        lambda t: ValueError(f"transmissivity must be in [0, 1], got {t}"),
+        1.0,
+    )
     if mode_a == mode_b:
         raise ModeError("beamsplitter needs two distinct modes")
-    return _gate(state, [mode_a, mode_b], beamsplitter_symplectic(transmissivity))
+    return _gate(state, [mode_a, mode_b], beamsplitter_symplectic(eta))
 
 
-def apply_two_mode_squeeze(
-    state: GaussianState, mode_a: str, mode_b: str, gain: float
-) -> GaussianState:
+def apply_two_mode_squeeze(state: State, mode_a: str, mode_b: str, gain) -> State:
     """Two-mode squeezing of gain G >= 1 on (mode_a, mode_b)."""
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
+    state, gain = _reject(
+        state, gain, lambda g: g < 1.0, lambda g: ValueError(f"gain must be >= 1, got {g}"), 1.0
+    )
     if mode_a == mode_b:
         raise ModeError("two-mode squeezer needs two distinct modes")
     return _gate(state, [mode_a, mode_b], two_mode_squeeze_symplectic(gain))
 
 
-def apply_thermal_loss(
-    state: GaussianState, mode: str, transmissivity: float, added_noise: float = 0.0
-) -> GaussianState:
+def apply_thermal_loss(state: State, mode: str, transmissivity, added_noise=0.0) -> State:
     """Thermal-loss channel, receiver-referred: output photon mean equals
     ``kappa * n_in + added_noise``.
 
@@ -197,41 +369,69 @@ def apply_thermal_loss(
     kappa.  kappa = 0 is rejected as degenerate; use `thermal` to construct
     the replacement state directly.
     """
-    kappa = transmissivity
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"transmissivity must be in (0, 1], got {kappa}")
-    if added_noise < 0.0:
-        raise ValueError("added noise photons must be >= 0")
+    state, kappa = _reject(
+        state,
+        transmissivity,
+        lambda k: ~((0.0 < k) & (k <= 1.0)),
+        lambda k: ValueError(f"transmissivity must be in (0, 1], got {k}"),
+        1.0,
+    )
+    state, noise = _reject(
+        state,
+        added_noise,
+        lambda n: n < 0.0,
+        lambda n: ValueError("added noise photons must be >= 0"),
+        0.0,
+    )
+    kappa, noise = np.broadcast_arrays(kappa, noise)
+    cov, errors, single = _broadcast(state, kappa.shape)
     i = 2 * state.mode_index(mode)
-    n = state.n_modes
-    scale = np.ones(2 * n)
-    scale[i : i + 2] = np.sqrt(kappa)
-    cov = state.cov * np.outer(scale, scale)
-    cov[i : i + 2, i : i + 2] += ((1.0 - kappa) + 2.0 * added_noise) * np.eye(2)
-    return GaussianState(state.mode_labels, cov)
+    scale = np.ones(cov.shape[:2])
+    scale[:, i : i + 2] = np.sqrt(kappa).reshape(-1, 1)
+    cov = cov * (scale[:, :, None] * scale[:, None, :])
+    cov[:, i : i + 2, i : i + 2] += ((1.0 - kappa) + 2.0 * noise).reshape(-1, 1, 1) * np.eye(2)
+    return _result(state.mode_labels, cov, errors, single)
 
 
-def photon_mean(state: GaussianState, mode: str) -> float:
-    V = state.mode_block(mode)
-    return (np.trace(V) - 2.0) / 4.0
+def _block(state: State, mode_a: str, mode_b: str) -> np.ndarray:
+    """The (P, 2, 2) covariance block between two modes of each slice."""
+    cov = state.cov if isinstance(state, GaussianStack) else state.cov[None]
+    ia, ib = 2 * state.mode_index(mode_a), 2 * state.mode_index(mode_b)
+    return np.ascontiguousarray(cov[:, ia : ia + 2, ib : ib + 2])
 
 
-def photon_variance(state: GaussianState, mode: str) -> float:
-    V = state.mode_block(mode)
-    var = (np.trace(V @ V) - 2.0) / 8.0
-    return max(var, 0.0)
+def _clamp(x):
+    """max(x, 0.0) per element, NaN and -0.0 kept as max() keeps them."""
+    return np.where(0.0 > x, 0.0, x)[()]
 
 
-def photon_covariance(state: GaussianState, mode_a: str, mode_b: str) -> float:
+def _per_slice(state: State, values: np.ndarray):
+    """A stack's values as an array, a single state's as its one number."""
+    return values if isinstance(state, GaussianStack) else values[0]
+
+
+def photon_mean(state: State, mode: str):
+    """Mean photon number of one mode."""
+    V = _block(state, mode, mode)
+    return _per_slice(state, (np.trace(V, axis1=1, axis2=2) - 2.0) / 4.0)
+
+
+def photon_variance(state: State, mode: str):
+    """Photon-number variance of one mode."""
+    V = _block(state, mode, mode)
+    return _per_slice(state, _clamp((np.trace(V @ V, axis1=1, axis2=2) - 2.0) / 8.0))
+
+
+def photon_covariance(state: State, mode_a: str, mode_b: str):
     """Photon-number covariance between two modes; the variance when both
     labels name the same mode."""
     if mode_a == mode_b:
         return photon_variance(state, mode_a)
-    C = state.cross_block(mode_a, mode_b)
-    return float(np.sum(C * C)) / 8.0
+    C = _block(state, mode_a, mode_b)
+    return _per_slice(state, np.sum(C * C, axis=(1, 2)) / 8.0)
 
 
-def difference_stats(state: GaussianState, mode_a: str, mode_b: str) -> tuple[float, float]:
+def difference_stats(state: State, mode_a: str, mode_b: str):
     """Mean and variance of the balanced difference count n_a - n_b."""
     if mode_a == mode_b:
         raise ModeError("difference statistics need two distinct modes")
@@ -241,4 +441,4 @@ def difference_stats(state: GaussianState, mode_a: str, mode_b: str) -> tuple[fl
         + photon_variance(state, mode_b)
         - 2.0 * photon_covariance(state, mode_a, mode_b)
     )
-    return mean, max(var, 0.0)
+    return mean, _clamp(var)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .gaussian import GaussianState, omega
-from .protocol import ProtocolVariant, SensingScenario, build_receiver_input
+from .protocol import ProtocolVariant, SensingScenario, build_receiver_inputs
 from .receivers import ReceiverStats
 
 QFI_STEPS = (1e-3, 5e-4)
@@ -206,10 +206,12 @@ def qfi_phase(scenario: SensingScenario, variant: ProtocolVariant) -> QfiResult:
     if scenario.N_S == 0.0:
         return QfiResult(J=0.0, qcrb_var=math.inf, richardson_error=0.0)
 
-    def state_at(th: float) -> GaussianState:
-        return build_receiver_input(scenario.with_(theta=th), variant)
-
-    result = qfi_of_family(state_at, scenario.theta)
+    # the four phases qfi_of_family evaluates the family at, in its order,
+    # built as one stack
+    theta = scenario.theta
+    phases = [th for h in QFI_STEPS for th in (theta - h / 2.0, theta + h / 2.0)]
+    states = build_receiver_inputs([scenario] * len(phases), variant, phases).states()
+    result = qfi_of_family(dict(zip(phases, states)).__getitem__, theta)
     qcrb = math.inf if result.J == 0.0 else 1.0 / (scenario.M * result.J)
     return QfiResult(result.J, qcrb, result.richardson_error)
 

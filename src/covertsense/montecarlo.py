@@ -7,9 +7,9 @@ and scaled into cosine and phase estimates.  Per-mode photon sampling at
 M ~ 1e6..1e9 would be both intractable and redundant: the per-mode
 statistics are validated independently against a truncated Fock oracle.
 
-Determinism contract: results are bit-identical for fixed (scenario, K,
-seed, point index), because every grid point draws from its own
-counter-based Philox stream keyed by (seed, point index).
+Determinism contract: results are bit-identical for fixed (receiver
+statistics, K, seed, point index), because every grid point draws from
+its own counter-based Philox stream keyed by (seed, point index).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolVariant, SensingScenario
-from .receivers import ReceiverStats, cosine_estimator, receiver_stats, theory_mse
+from .receivers import ReceiverStats, cosine_estimator, theory_mse
 
 CLT_GUARD_COUNTS = 100.0
 DEFAULT_SHOTS = 2000
@@ -69,22 +69,27 @@ def _check_clt(stats: ReceiverStats) -> None:
         )
 
 
+def check_shots(shots: int) -> None:
+    """Refuse fewer than two shots: the jackknife needs two."""
+    if shots < 2:
+        raise ValueError("need at least 2 shots")
+
+
 def simulate(
-    scenario: SensingScenario,
-    variant: ProtocolVariant,
+    stats: ReceiverStats,
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
     point_index: int = 0,
 ) -> EstimationResult:
-    """Run K independent sensing shots and summarize the estimators.
+    """Run K independent sensing shots of the receiver whose statistics are
+    `stats`, at its scenario, and summarize the estimators.
 
     Shot j consumes the j-th normal draw of the stream keyed by
     (seed, point_index), so shots and grid points are reproducible
     independently of execution order."""
-    if shots < 2:
-        raise ValueError("need at least 2 shots")
-    stats = receiver_stats(scenario, variant)
+    check_shots(shots)
     _check_clt(stats)
+    scenario = stats.scenario
     m = scenario.M
 
     draws = _stream(seed, point_index).normal(
@@ -105,7 +110,7 @@ def simulate(
 
     return EstimationResult(
         scenario=scenario,
-        variant=variant,
+        variant=stats.variant,
         cos_hat=cos_hat,
         theta_hat=theta_hat,
         mse_cos=mse_cos,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -76,56 +77,84 @@ class SensingScenario:
         return replace(self, **kwargs)
 
 
-def tmsv(n_s: float, labels: tuple[str, str] = ("S", "I")) -> g.GaussianState:
-    """Two-mode squeezed vacuum with per-arm mean photon number n_s."""
-    if n_s < 0:
+def tmsv(n_s, labels: tuple[str, str] = ("S", "I")) -> g.State:
+    """Two-mode squeezed vacuum with per-arm mean photon number n_s; a stack
+    of them for a sequence of values."""
+    n_s = np.asarray(n_s, dtype=float)
+    if np.any(n_s < 0):
         raise ValueError("per-mode photon number must be >= 0")
     vac = g.vacuum(labels)
     return g.apply_two_mode_squeeze(vac, labels[0], labels[1], 1.0 + n_s)
 
 
 def split_thermal(
-    n_signal: float, n_reference: float, labels: tuple[str, str] = ("S", "R")
-) -> g.GaussianState:
+    n_signal, n_reference, labels: tuple[str, str] = ("S", "R")
+) -> g.State:
     """Thermal source tapped into a signal arm of mean n_signal and a
-    reference arm of mean n_reference.
+    reference arm of mean n_reference; a stack of them for sequences of
+    values.
 
     The joint state is classical: cov - I >= 0 for any brightnesses.
     """
-    if n_signal < 0 or n_reference < 0:
+    n_signal, n_reference = np.broadcast_arrays(
+        np.asarray(n_signal, dtype=float), np.asarray(n_reference, dtype=float)
+    )
+    if np.any(n_signal < 0) or np.any(n_reference < 0):
         raise ValueError("per-mode photon numbers must be >= 0")
     eye = np.eye(2)
-    cross = 2.0 * math.sqrt(n_signal * n_reference) * eye
+    cross = (2.0 * np.sqrt(n_signal * n_reference))[..., None, None] * eye
     cov = np.block(
         [
-            [(2.0 * n_signal + 1.0) * eye, cross],
-            [cross, (2.0 * n_reference + 1.0) * eye],
+            [(2.0 * n_signal + 1.0)[..., None, None] * eye, cross],
+            [cross, (2.0 * n_reference + 1.0)[..., None, None] * eye],
         ]
     )
-    return g.GaussianState(labels, cov)
+    if n_signal.ndim == 0:
+        return g.GaussianState(labels, cov)
+    return g.GaussianStack(labels, cov)
+
+
+def build_receiver_inputs(
+    scenarios: Sequence[SensingScenario],
+    variant: ProtocolVariant,
+    thetas: Sequence[float] | None = None,
+) -> g.GaussianStack:
+    """States arriving at the receiver, one stack slice per scenario:
+    phase-shifted probe through the lossy-noisy channel, plus the locally
+    stored idler/reference.  Slice k is taken at phase thetas[k], or at
+    scenario k's own theta when thetas is None.
+
+    Modes: ("ret", "idler") for the entangled variant, ("ret", "ref") for
+    the classical one.
+    """
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float).reshape(len(scenarios))
+
+    n_s = column([sc.N_S for sc in scenarios])
+    if variant is ProtocolVariant.ENTANGLED:
+        state = tmsv(n_s, ("ret", "idler"))
+        retained = "idler"
+    elif variant is ProtocolVariant.CLASSICAL_THERMAL:
+        state = split_thermal(n_s, column([sc.N_R for sc in scenarios]), ("ret", "ref"))
+        retained = "ref"
+    else:
+        raise ValueError(f"unknown variant {variant}")
+    if thetas is None:
+        thetas = [sc.theta for sc in scenarios]
+    state = g.apply_phase(state, "ret", column(thetas))
+    state = g.apply_thermal_loss(
+        state, "ret", column([sc.kappa for sc in scenarios]), column([sc.N_B for sc in scenarios])
+    )
+    return g.apply_thermal_loss(state, retained, column([sc.kappa_I for sc in scenarios]), 0.0)
 
 
 def build_receiver_input(
     scenario: SensingScenario, variant: ProtocolVariant
 ) -> g.GaussianState:
-    """State arriving at the receiver: phase-shifted probe through the
-    lossy-noisy channel, plus the locally stored idler/reference.
-
-    Modes: ("ret", "idler") for the entangled variant, ("ret", "ref") for
-    the classical one.
-    """
-    sc = scenario
-    if variant is ProtocolVariant.ENTANGLED:
-        state = tmsv(sc.N_S, ("ret", "idler"))
-        retained = "idler"
-    elif variant is ProtocolVariant.CLASSICAL_THERMAL:
-        state = split_thermal(sc.N_S, sc.N_R, ("ret", "ref"))
-        retained = "ref"
-    else:
-        raise ValueError(f"unknown variant {variant}")
-    state = g.apply_phase(state, "ret", sc.theta)
-    state = g.apply_thermal_loss(state, "ret", sc.kappa, sc.N_B)
-    return g.apply_thermal_loss(state, retained, sc.kappa_I, 0.0)
+    """The one-scenario case of `build_receiver_inputs`: the state arriving
+    at the receiver, or the error that stopped it."""
+    (state,) = build_receiver_inputs([scenario], variant).states()
+    return state
 
 
 def willie_brightnesses(scenario: SensingScenario) -> tuple[float, float]:

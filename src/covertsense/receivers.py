@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import gaussian as g
-from .protocol import ProtocolVariant, SensingScenario, build_receiver_input
+from .protocol import ProtocolVariant, SensingScenario, build_receiver_inputs
 
 
 class CalibrationError(ValueError):
@@ -50,35 +51,61 @@ class ReceiverStats:
         return self.var_diff / (self.scenario.M * self.calib_scale**2)
 
 
-def _pcr_state(scenario: SensingScenario) -> g.GaussianState:
-    state = build_receiver_input(scenario, ProtocolVariant.ENTANGLED)
+def _pcr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianStack:
+    state = build_receiver_inputs(scenarios, ProtocolVariant.ENTANGLED, thetas)
     state = g.tensor(state, g.vacuum(("conj",)))
     # conjugate the return: conj <- sqrt(G) vac + sqrt(G-1) ret^dagger
-    state = g.apply_two_mode_squeeze(state, "conj", "ret", scenario.G_pc)
+    state = g.apply_two_mode_squeeze(state, "conj", "ret", [sc.G_pc for sc in scenarios])
     return g.apply_beamsplitter(state, "conj", "idler", 0.5)
 
 
-def _hr_state(scenario: SensingScenario) -> g.GaussianState:
-    state = build_receiver_input(scenario, ProtocolVariant.CLASSICAL_THERMAL)
+def _hr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianStack:
+    state = build_receiver_inputs(scenarios, ProtocolVariant.CLASSICAL_THERMAL, thetas)
     return g.apply_beamsplitter(state, "ret", "ref", 0.5)
 
 
 # variant -> (receiver name, receiver state builder, detected mode pair)
 _RECEIVERS = {
-    ProtocolVariant.ENTANGLED: ("PCR", _pcr_state, ("conj", "idler")),
-    ProtocolVariant.CLASSICAL_THERMAL: ("HR", _hr_state, ("ret", "ref")),
+    ProtocolVariant.ENTANGLED: ("PCR", _pcr_states, ("conj", "idler")),
+    ProtocolVariant.CLASSICAL_THERMAL: ("HR", _hr_states, ("ret", "ref")),
 }
 
 
+def stacked_receiver_stats(
+    scenarios: Sequence[SensingScenario], variant: ProtocolVariant
+) -> list[ReceiverStats | Exception]:
+    """Difference-count statistics of the variant's receiver for each
+    scenario, calibrated by a second pass at theta = 0.  Both passes build
+    every scenario's receiver state in one stack.  Entry k is scenario k's
+    ReceiverStats, or the exception that stopped it: its first failed
+    gate, the theta pass before the theta = 0 pass, then a zero
+    calibration."""
+    scenarios = list(scenarios)
+    _, states_of, (mode_a, mode_b) = _RECEIVERS[variant]
+    at_theta = states_of(scenarios, [sc.theta for sc in scenarios])
+    at_zero = states_of(scenarios, [0.0] * len(scenarios))
+    mean, var = g.difference_stats(at_theta, mode_a, mode_b)
+    arm_a, arm_b = g.photon_mean(at_theta, mode_a), g.photon_mean(at_theta, mode_b)
+    calib, _ = g.difference_stats(at_zero, mode_a, mode_b)
+    out: list[ReceiverStats | Exception] = []
+    for k, sc in enumerate(scenarios):
+        error = at_theta.errors[k] or at_zero.errors[k]
+        if error is None:
+            try:
+                stats = ReceiverStats(mean[k], var[k], calib[k], variant, sc, (arm_a[k], arm_b[k]))
+            except CalibrationError as exc:
+                error = exc
+        out.append(stats if error is None else error)
+    return out
+
+
 def receiver_stats(scenario: SensingScenario, variant: ProtocolVariant) -> ReceiverStats:
-    """Difference-count statistics of the variant's receiver, calibrated
-    by a second pass at theta = 0."""
-    _, state_of, (mode_a, mode_b) = _RECEIVERS[variant]
-    state = state_of(scenario)
-    mean, var = g.difference_stats(state, mode_a, mode_b)
-    arms = (g.photon_mean(state, mode_a), g.photon_mean(state, mode_b))
-    calib, _ = g.difference_stats(state_of(scenario.with_(theta=0.0)), mode_a, mode_b)
-    return ReceiverStats(mean, var, calib, variant, scenario, arms)
+    """The one-scenario case of `stacked_receiver_stats`: raises what stopped
+    the scenario's statistics."""
+    (stats,) = stacked_receiver_stats([scenario], variant)
+    if isinstance(stats, Exception):
+        raise stats
+    return stats
 
 
 def pcr_stats(scenario: SensingScenario) -> ReceiverStats:

@@ -1,9 +1,13 @@
 """Shared helpers: truncated Fock-space oracle pipelines mirroring the
-Gaussian receiver chains, used for cross-validation tests."""
+Gaussian receiver chains, used for cross-validation tests, and a
+hypothesis strategy over the whole scenario domain."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from covertsense import fock as f
 from covertsense.protocol import SensingScenario, split_thermal, tmsv
@@ -56,3 +60,32 @@ def rng_for(name: str) -> np.random.Generator:
     import zlib
 
     return np.random.default_rng(zlib.crc32(name.encode()))
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _rarely_zero(lo: float, hi: float):
+    """10^e for e drawn from [lo - 1, hi], and 0 when e < lo: a zero is
+    drawn often enough to be covered, but does not dominate the draws."""
+    return st.floats(lo - 1.0, hi).map(lambda e: 0.0 if e < lo else 10.0**e)
+
+
+# keyword arguments of a SensingScenario over its whole domain; some draws
+# are refused (W*T < 1/2)
+SCENARIO_PARAMS = st.fixed_dictionaries(
+    {
+        "N_S": _rarely_zero(-8.0, 1.0),
+        "N_B": _rarely_zero(-6.0, 4.0),
+        "kappa_T": _log_uniform(-3.0, 0.0),
+        "kappa_E": _log_uniform(-3.0, 0.0),
+        "kappa_I": _log_uniform(-3.0, 0.0),
+        "W": _log_uniform(6.0, 10.0),
+        "T": _log_uniform(-9.0, 0.0),
+        "theta": st.floats(0.0, 2.0 * math.pi),
+        "G_pc": st.floats(1.0, 10.0),
+        "f_W": st.floats(0.0, 1.0, exclude_min=True),
+        "N_R": _log_uniform(-3.0, 5.0),
+    }
+)

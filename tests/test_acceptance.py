@@ -56,8 +56,8 @@ def test_criterion_1_quantum_advantage_direction(capsys):
     for w in (1e8, 1e9, 1e10):
         for theta in thetas:
             sc = SensingScenario(W=w, theta=float(theta))
-            re_ = simulate(sc, ENT, 2000, seed=0, point_index=idx)
-            rc_ = simulate(sc, CLS, 2000, seed=0, point_index=idx + 1)
+            re_ = simulate(pcr_stats(sc), 2000, seed=0, point_index=idx)
+            rc_ = simulate(hr_stats(sc), 2000, seed=0, point_index=idx + 1)
             idx += 2
             rms_e, rms_c = math.sqrt(re_.mse_cos), math.sqrt(rc_.mse_cos)
             worst_gap = min(worst_gap, rms_c - rms_e)
@@ -91,7 +91,7 @@ def test_criterion_3_near_optimality(capsys):
         stats = receiver_stats(sc, ENT)
         q = qfi_phase(sc, ENT)
         worst_eff = min(worst_eff, receiver_fisher(stats) / q.J)
-        res = simulate(sc, ENT, 2000, seed=0, point_index=i)
+        res = simulate(stats, 2000, seed=0, point_index=i)
         sim_mse_theta = res.mse_cos / math.sin(sc.theta) ** 2
         worst_excess = max(worst_excess, sim_mse_theta / q.qcrb_var)
     ok = worst_eff >= 0.80 and worst_excess <= 1.3
@@ -354,12 +354,13 @@ def test_criterion_8_bound_ladder_and_estimator_sanity(capsys, tmp_path):
     bound = 3.0 * math.sqrt(2.0 / 2000.0)
     worst_dev = 0.0
     for i, (variant, n_b) in enumerate(((ENT, 160.0), (CLS, 160.0), (ENT, 640.0))):
-        res = simulate(SensingScenario(N_B=n_b), variant, 2000, seed=7, point_index=i)
+        res = simulate(receiver_stats(SensingScenario(N_B=n_b), variant), 2000, seed=7,
+                       point_index=i)
         worst_dev = max(worst_dev, abs(res.mse_cos / res.theory_mse_cos - 1.0))
     concentration_ok = worst_dev <= bound
 
-    a = simulate(SensingScenario(), ENT, 2000, seed=3)
-    b = simulate(SensingScenario(), ENT, 2000, seed=3)
+    a = simulate(pcr_stats(SensingScenario()), 2000, seed=3)
+    b = simulate(pcr_stats(SensingScenario()), 2000, seed=3)
     args = ["fig3", "--shots", "100", "--set", "compute_qcrb=false",
             "--set", "theta_grid=[1.5707963267948966]"]
     runner = CliRunner()

@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+
+from conftest import SCENARIO_PARAMS
 
 from covertsense import gaussian as g
 from covertsense import metrology
@@ -131,33 +132,6 @@ def test_qfi_zero_background():
         assert receiver_fisher(receiver_stats(sc, variant)) <= res.J
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
-
-
-def _rarely_zero(lo: float, hi: float):
-    """10^e for e drawn from [lo - 1, hi], and 0 when e < lo: a zero is
-    drawn often enough to be covered, but does not dominate the draws."""
-    return st.floats(lo - 1.0, hi).map(lambda e: 0.0 if e < lo else 10.0**e)
-
-
-_SCENARIO_PARAMS = st.fixed_dictionaries(
-    {
-        "N_S": _rarely_zero(-8.0, 1.0),
-        "N_B": _rarely_zero(-6.0, 4.0),
-        "kappa_T": _log_uniform(-3.0, 0.0),
-        "kappa_E": _log_uniform(-3.0, 0.0),
-        "kappa_I": _log_uniform(-3.0, 0.0),
-        "W": _log_uniform(6.0, 10.0),
-        "T": _log_uniform(-9.0, 0.0),
-        "theta": st.floats(0.0, 2.0 * math.pi),
-        "G_pc": st.floats(1.0, 10.0),
-        "f_W": st.floats(0.0, 1.0, exclude_min=True),
-        "N_R": _log_uniform(-3.0, 5.0),
-    }
-)
-
-
 def test_bounds_hold_over_the_scenario_domain():
     # Each draw, for each variant, either raises a documented error or
     # satisfies pe_lower <= pe_exact <= 1/2, the Pinsker bound
@@ -169,7 +143,7 @@ def test_bounds_hold_over_the_scenario_domain():
     reached = []
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(params=_SCENARIO_PARAMS)
+    @given(params=SCENARIO_PARAMS)
     def check(params):
         for variant in QCRB_VARIANTS:
             try:

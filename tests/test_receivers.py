@@ -1,10 +1,15 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covertsense.protocol import ProtocolVariant, SensingScenario
+from covertsense import gaussian as g
+from covertsense import receivers
+from covertsense.protocol import ProtocolVariant, SensingScenario, build_receiver_inputs
 from covertsense.receivers import (
     CalibrationError,
     ReceiverStats,
@@ -12,10 +17,11 @@ from covertsense.receivers import (
     hr_stats,
     pcr_stats,
     receiver_stats,
+    stacked_receiver_stats,
     theory_mse,
 )
 
-from conftest import oracle_hr_stats, oracle_pcr_stats
+from conftest import SCENARIO_PARAMS, oracle_hr_stats, oracle_pcr_stats
 
 DESK = SensingScenario(
     N_S=0.08, N_B=0.3, kappa_T=1.0, kappa_E=0.6, kappa_I=0.9, theta=0.7, G_pc=1.1, N_R=0.8
@@ -119,3 +125,77 @@ def test_hr_matches_fock_oracle():
     assert deficit < 1e-6
     assert abs(st.mean_diff - mean_f) / (1 + abs(mean_f)) < 1e-5
     assert abs(st.var_diff - var_f) / (1 + abs(var_f)) < 1e-5
+
+
+def _bits(result):
+    """float.hex of every statistic, or the exception's type and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    values = (result.mean_diff, result.var_diff, result.calib_scale, *result.arm_means)
+    return tuple(float(x).hex() for x in values)
+
+
+def _one_at_a_time(scenarios, variant):
+    out = []
+    for sc in scenarios:
+        try:
+            out.append(receiver_stats(sc, variant))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def test_stacked_stats_match_one_scenario_calls_bit_for_bit():
+    # kappa_T * kappa_E underflows to 0.0 here, which the thermal-loss gate
+    # refuses: a parameter failure inside the stack
+    scenarios = [SensingScenario(kappa_T=1e-200, kappa_E=1e-200)]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(params=SCENARIO_PARAMS, theta=st.sampled_from([None, 0.0, math.pi]))
+    def collect(params, theta):
+        if theta is not None:
+            params = {**params, "theta": theta}
+        try:
+            scenarios.append(SensingScenario(**params))
+        except ValueError:  # W*T rounds to no mode pair
+            pass
+
+    collect()
+    assert len(scenarios) > 150
+    assert {0.0, math.pi} <= {sc.theta for sc in scenarios}
+    assert any(sc.N_B == 0.0 for sc in scenarios) and any(sc.N_S == 0.0 for sc in scenarios)
+    for variant in ProtocolVariant:
+        stacked = stacked_receiver_stats(scenarios, variant)
+        assert [_bits(s) for s in stacked] == [_bits(s) for s in _one_at_a_time(scenarios, variant)]
+        kinds = {type(s) for s in stacked}
+        assert {ReceiverStats, CalibrationError, ValueError} <= kinds
+
+
+def test_corrupted_slice_fails_alone(monkeypatch):
+    scenarios = [DESK.with_(theta=theta) for theta in (0.2, 0.7, 1.9, 2.8)]
+    bad = 2
+
+    def corrupting(scenarios, variant, thetas):
+        stack = build_receiver_inputs(scenarios, variant, thetas)
+        cov = stack.cov.copy()
+        cov[bad] *= 0.1  # below the uncertainty bound
+        return g.GaussianStack(stack.mode_labels, cov, stack.errors)
+
+    for variant in ProtocolVariant:
+        clean = [receiver_stats(sc, variant) for sc in scenarios]
+        inputs = build_receiver_inputs(scenarios, variant)
+        with pytest.raises(g.StateError) as single:
+            g.GaussianState(inputs.mode_labels, 0.1 * inputs.cov[bad])
+        corrupted = corrupting(scenarios, variant, None)
+        assert [e is not None for e in corrupted.errors] == [k == bad for k in range(4)]
+        assert np.array_equal(corrupted.cov[bad], np.eye(4))
+
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(receivers, "build_receiver_inputs", corrupting)
+            warnings.simplefilter("error")
+            stacked = stacked_receiver_stats(scenarios, variant)
+        assert type(stacked[bad]) is g.StateError
+        assert str(stacked[bad]) == str(single.value)
+        assert [_bits(s) for k, s in enumerate(stacked) if k != bad] == [
+            _bits(s) for k, s in enumerate(clean) if k != bad
+        ]
