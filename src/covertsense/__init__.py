@@ -9,7 +9,6 @@ runner.
 __version__ = "0.1.0"
 
 from .gaussian import (
-    GaussianStack,
     GaussianState,
     ModeError,
     StateError,
@@ -66,7 +65,6 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "GaussianStack",
     "GaussianState",
     "ModeError",
     "StateError",

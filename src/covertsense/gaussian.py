@@ -12,23 +12,21 @@ Conventions (fixed once, tested everywhere):
   probes and the thermal background start at zero mean, and every gate
   here is linear in the quadratures, so it keeps the mean at zero.
 
-A `GaussianState` is one state.  A `GaussianStack` is P states on the same
-modes, held as a (P, 2n, 2n) covariance stack, so that one call builds the
-states of a whole grid.  Every operation takes either kind, and each of its
-numeric parameters is a number or a sequence of P numbers, one per slice.
-It returns a `GaussianStack` when the state or a parameter is stacked, and
-a `GaussianState` otherwise: a single state is the P = 1 case of the same
-code.  All operations are pure: they return new states and never mutate
-inputs.
+A `GaussianState` is one state, or a stack of P states on the same modes
+held as a (P, 2n, 2n) covariance stack, so that one call builds the states
+of a whole grid.  Every operation takes either, and each of its numeric
+parameters is a number or a sequence of P numbers, one per slice.  It
+returns a stack when the state or a parameter is stacked, and a single
+state otherwise: a single state is the P = 1 case of the same code.  All
+operations are pure: they return new states and never mutate inputs.
 
 Every state is validated after every operation, slice by slice, stacked or
 not: symmetry, then the uncertainty relation, each within a tolerance
-scaled by the slice's own max(1, max|cov|).  A `GaussianState` raises its
-failure.  A `GaussianStack` records the first failure of each slice, an
-out-of-range parameter or a failed check, in `errors`, and holds the vacuum
-in that slice from then on, so one bad slice never fails, warns or raises
-for the others.  No operation can hand back an unphysical intermediate
-state.
+scaled by the slice's own max(1, max|cov|).  An out-of-range parameter or
+a failed check in any slice raises, so no operation can hand back an
+unphysical intermediate state.  A caller that wants each slice to fail
+alone retries a failing stack one slice at a time, as
+`receivers.stacked_receiver_stats` does.
 """
 
 from __future__ import annotations
@@ -68,41 +66,40 @@ def _i_omega(n_modes: int) -> np.ndarray:
     return out
 
 
-def _check(cov: np.ndarray) -> dict[int, Exception]:
-    """The validation failures of a (P, 2n, 2n) stack, by slice index."""
+def _check(cov: np.ndarray) -> None:
+    """Validate a (P, 2n, 2n) stack slice by slice; raises the first failure."""
     n = cov.shape[-1] // 2
     peak = np.abs(cov).max(axis=(1, 2))
     scale = np.where(peak > 1.0, peak, 1.0)  # max(1.0, peak): 1.0 at a NaN peak too
     asym = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2))
-    asym_bad = asym > SYMMETRY_TOL * scale
-    errors: dict[int, Exception] = {
-        k: StateError("covariance matrix is not symmetric")
-        for k in np.flatnonzero(asym_bad).tolist()
-    }
-    try:
-        min_eig = np.linalg.eigvalsh(cov + _i_omega(n)).min(axis=1)
-    except np.linalg.LinAlgError as exc:
-        # a slice the eigensolver fails on (one that is not finite) fails alone
-        if len(cov) > 1:
-            return {k: e for k in range(len(cov)) for e in _check(cov[k : k + 1]).values()}
-        return {0: errors.get(0, exc)}
-    eig_bad = (min_eig < -UNCERTAINTY_TOL * scale) & ~asym_bad
-    for k in np.flatnonzero(eig_bad).tolist():
-        errors[k] = StateError(
-            f"covariance violates the uncertainty relation (min eig {float(min_eig[k]):.3e})"
+    if (asym > SYMMETRY_TOL * scale).any():
+        raise StateError("covariance matrix is not symmetric")
+    min_eig = np.linalg.eigvalsh(cov + _i_omega(n)).min(axis=1)
+    bad = np.flatnonzero(min_eig < -UNCERTAINTY_TOL * scale)
+    if len(bad):
+        raise StateError(
+            f"covariance violates the uncertainty relation (min eig {float(min_eig[bad[0]]):.3e})"
         )
-    return errors
 
 
-def _labels(mode_labels: Sequence[str]) -> tuple[str, ...]:
-    labels = tuple(mode_labels)
-    if len(set(labels)) != len(labels):
-        raise ModeError(f"duplicate mode labels: {labels}")
-    return labels
+@dataclass(frozen=True)
+class GaussianState:
+    """Zero-mean Gaussian states on labeled modes: cov is one (2n, 2n)
+    covariance matrix, or a (P, 2n, 2n) stack whose slice k is state k."""
 
-
-class _Modes:
     mode_labels: tuple[str, ...]
+    cov: np.ndarray
+
+    def __post_init__(self):
+        labels = tuple(self.mode_labels)
+        if len(set(labels)) != len(labels):
+            raise ModeError(f"duplicate mode labels: {labels}")
+        object.__setattr__(self, "mode_labels", labels)
+        d = 2 * len(labels)
+        cov = np.asarray(self.cov, dtype=float)
+        cov = cov.reshape((len(cov), d, d) if cov.ndim == 3 else (d, d))
+        object.__setattr__(self, "cov", cov)
+        _check(_slices(self))
 
     @property
     def n_modes(self) -> int:
@@ -114,70 +111,15 @@ class _Modes:
         except ValueError:
             raise ModeError(f"unknown mode {label!r}; have {self.mode_labels}") from None
 
-
-@dataclass(frozen=True)
-class GaussianState(_Modes):
-    """A zero-mean Gaussian state: labeled modes and a covariance matrix."""
-
-    mode_labels: tuple[str, ...]
-    cov: np.ndarray
-
-    def __post_init__(self):
-        labels = _labels(self.mode_labels)
-        object.__setattr__(self, "mode_labels", labels)
-        n = len(labels)
-        cov = np.asarray(self.cov, dtype=float).reshape(2 * n, 2 * n)
-        object.__setattr__(self, "cov", cov)
-        error = _check(cov[None]).get(0)
-        if error is not None:
-            raise error
-
     def mode_block(self, label: str) -> np.ndarray:
-        """Covariance restricted to one mode."""
+        """Covariance restricted to one mode, per slice for a stack."""
         i = 2 * self.mode_index(label)
-        return self.cov[i : i + 2, i : i + 2].copy()
-
-
-@dataclass(frozen=True)
-class GaussianStack(_Modes):
-    """P zero-mean Gaussian states on the same labeled modes: cov[k] is the
-    covariance matrix of slice k, and errors[k] the first failure of slice k,
-    or None while it is valid.  A failed slice holds the vacuum."""
-
-    mode_labels: tuple[str, ...]
-    cov: np.ndarray
-    errors: tuple[Exception | None, ...] | None = None
-
-    def __post_init__(self):
-        labels = _labels(self.mode_labels)
-        object.__setattr__(self, "mode_labels", labels)
-        n = len(labels)
-        cov = np.asarray(self.cov, dtype=float)
-        cov = cov.reshape(len(cov), 2 * n, 2 * n)
-        errors = [None] * len(cov) if self.errors is None else list(self.errors)
-        if len(errors) != len(cov):
-            raise ValueError(f"{len(errors)} slice errors for {len(cov)} slices")
-        for k, error in _check(cov).items():
-            errors[k] = errors[k] or error
-        failed = [k for k, error in enumerate(errors) if error is not None]
-        if failed:
-            cov = cov.copy()
-            cov[failed] = np.eye(2 * n)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "errors", tuple(errors))
-
-    def __len__(self) -> int:
-        return len(self.cov)
+        return self.cov[..., i : i + 2, i : i + 2].copy()
 
     def states(self) -> list[GaussianState]:
-        """The slices as GaussianStates; raises the failure of the first
-        slice that has one."""
-        for error in self.errors:
-            if error is not None:
-                raise error
+        """The slices as single states: a view that skips a second check."""
         out = []
-        for cov in self.cov:
-            # every slice passed the checks on construction: skip a second run
+        for cov in _slices(self):
             state = object.__new__(GaussianState)
             object.__setattr__(state, "mode_labels", self.mode_labels)
             object.__setattr__(state, "cov", cov)
@@ -185,63 +127,39 @@ class GaussianStack(_Modes):
         return out
 
 
-State = GaussianState | GaussianStack
+def _slices(state: GaussianState) -> np.ndarray:
+    """The state's covariance as a (P, 2n, 2n) stack, P = 1 for one state."""
+    return state.cov.reshape(-1, *state.cov.shape[-2:])
 
 
-def _shape(state: State) -> tuple[int, ...]:
-    return (len(state),) if isinstance(state, GaussianStack) else ()
-
-
-def _broadcast(state: State, shape: tuple[int, ...]):
-    """(cov, errors, single): the state's (P, 2n, 2n) covariance stack and
-    slice errors, broadcast against per-slice parameters of `shape` (() for
-    one value), and whether the result is one GaussianState."""
-    if isinstance(state, GaussianStack):
-        cov, errors, single = state.cov, state.errors, False
-    else:
-        cov, errors, single = state.cov[None], (None,), shape == ()
+def _broadcast(state: GaussianState, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+    """(cov, single): the state's (P, 2n, 2n) covariance stack, broadcast
+    against per-slice parameters of `shape` (() for one value), and whether
+    the result is one state rather than a stack."""
+    cov = _slices(state)
     size = shape[0] if shape and shape[0] != 1 else len(cov)
     if len(cov) != size:
         if len(cov) != 1:
             raise ValueError(f"{size} parameter values for {len(cov)} slices")
         cov = np.broadcast_to(cov, (size, *cov.shape[1:]))
-        errors *= size
-    return cov, errors, single
+    return cov, state.cov.ndim == 2 and shape == ()
 
 
-def _result(labels: tuple[str, ...], cov: np.ndarray, errors, single: bool) -> State:
-    """The validated result of an operation: a GaussianState, which raises
-    its failure, or a GaussianStack."""
-    if single:
-        return GaussianState(labels, cov[0])
-    return GaussianStack(labels, cov, errors)
+def _result(labels: tuple[str, ...], cov: np.ndarray, single: bool) -> GaussianState:
+    """The validated result of an operation on a (P, 2n, 2n) stack."""
+    return GaussianState(labels, cov[0] if single else cov)
 
 
 def _reject(
-    state: State,
-    value,
-    is_bad: Callable[[np.ndarray], np.ndarray],
-    error_of: Callable[[float], Exception],
-    neutral: float,
-) -> tuple[State, np.ndarray]:
-    """Check a parameter, a number or one per slice.  Each slice whose value
-    is bad fails with error_of(value), unless it has failed already; a single
-    state with one value raises it before any work, as the single-state
-    operations always have.  Returns the state and the parameter with
-    `neutral` in place of each bad value, so no failed slice reaches NaN."""
+    value, is_bad: Callable[[np.ndarray], np.ndarray], error_of: Callable[[float], Exception]
+) -> np.ndarray:
+    """A parameter, a number or one per slice, as floats; raises
+    error_of(v) for its first bad value v, before any work is done."""
     values = np.asarray(value, dtype=float)
     bad = is_bad(values)
-    if not bad.any():
-        return state, values
-    if isinstance(state, GaussianState) and values.ndim == 0:
-        raise error_of(value)
-    cov, errors, _ = _broadcast(state, values.shape)
-    slice_values = np.broadcast_to(values, (len(cov),)).tolist()
-    bad = np.broadcast_to(bad, (len(cov),)).tolist()
-    errors = tuple(
-        error_of(v) if b and e is None else e for e, b, v in zip(errors, bad, slice_values)
-    )
-    return GaussianStack(state.mode_labels, cov, errors), np.where(bad, neutral, values)
+    if bad.any():
+        raise error_of(np.asarray(value)[bad].tolist()[0])
+    return values
 
 
 def vacuum(mode_labels: Sequence[str]) -> GaussianState:
@@ -258,27 +176,26 @@ def thermal(mean_photons: float, label: str = "m0") -> GaussianState:
     return GaussianState((label,), (2 * mean_photons + 1) * np.eye(2))
 
 
-def tensor(a: State, b: State) -> State:
+def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state of two disjoint registers.  A stack pairs each of its
     slices with the same slice of the other stack, or with the other state."""
     if set(a.mode_labels) & set(b.mode_labels):
         raise ModeError("mode labels overlap")
-    cov_a, errors_a, single = _broadcast(a, _shape(b))
-    cov_b, errors_b, _ = _broadcast(b, _shape(a))
+    cov_a, single = _broadcast(a, b.cov.shape[:-2])
+    cov_b, _ = _broadcast(b, a.cov.shape[:-2])
     na = 2 * a.n_modes
     n = na + 2 * b.n_modes
     cov = np.zeros((len(cov_a), n, n))
     cov[:, :na, :na] = cov_a
     cov[:, na:, na:] = cov_b
-    errors = tuple(ea or eb for ea, eb in zip(errors_a, errors_b))
-    return _result(a.mode_labels + b.mode_labels, cov, errors, single)
+    return _result(a.mode_labels + b.mode_labels, cov, single)
 
 
-def _gate(state: State, labels: Sequence[str], small) -> State:
+def _gate(state: GaussianState, labels: Sequence[str], small) -> GaussianState:
     """Apply a symplectic acting on `labels`, expanded to the full mode set:
     one (k, k) matrix, or a (P, k, k) stack of one per slice."""
     small = np.asarray(small, dtype=float)
-    cov, errors, single = _broadcast(state, small.shape[:-2])
+    cov, single = _broadcast(state, small.shape[:-2])
     size, dim = cov.shape[:2]
     if small.ndim == 2:
         small = small[None]
@@ -287,7 +204,7 @@ def _gate(state: State, labels: Sequence[str], small) -> State:
     for a, i in enumerate(starts):
         for b, j in enumerate(starts):
             S[:, i : i + 2, j : j + 2] = small[:, 2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
-    return _result(state.mode_labels, S @ cov @ S.transpose(0, 2, 1), errors, single)
+    return _result(state.mode_labels, S @ cov @ S.transpose(0, 2, 1), single)
 
 
 def _matrix(rows) -> np.ndarray:
@@ -331,36 +248,36 @@ def two_mode_squeeze_symplectic(gain) -> np.ndarray:
     )
 
 
-def apply_phase(state: State, mode: str, theta) -> State:
+def apply_phase(state: GaussianState, mode: str, theta) -> GaussianState:
     """Rotate one mode by theta; photon statistics are unchanged."""
     return _gate(state, [mode], phase_symplectic(theta))
 
 
-def apply_beamsplitter(state: State, mode_a: str, mode_b: str, transmissivity) -> State:
+def apply_beamsplitter(
+    state: GaussianState, mode_a: str, mode_b: str, transmissivity
+) -> GaussianState:
     """Mix two modes on a beamsplitter of the given transmissivity."""
-    state, eta = _reject(
-        state,
+    eta = _reject(
         transmissivity,
         lambda t: ~((0.0 <= t) & (t <= 1.0)),
         lambda t: ValueError(f"transmissivity must be in [0, 1], got {t}"),
-        1.0,
     )
     if mode_a == mode_b:
         raise ModeError("beamsplitter needs two distinct modes")
     return _gate(state, [mode_a, mode_b], beamsplitter_symplectic(eta))
 
 
-def apply_two_mode_squeeze(state: State, mode_a: str, mode_b: str, gain) -> State:
+def apply_two_mode_squeeze(state: GaussianState, mode_a: str, mode_b: str, gain) -> GaussianState:
     """Two-mode squeezing of gain G >= 1 on (mode_a, mode_b)."""
-    state, gain = _reject(
-        state, gain, lambda g: g < 1.0, lambda g: ValueError(f"gain must be >= 1, got {g}"), 1.0
-    )
+    gain = _reject(gain, lambda g: g < 1.0, lambda g: ValueError(f"gain must be >= 1, got {g}"))
     if mode_a == mode_b:
         raise ModeError("two-mode squeezer needs two distinct modes")
     return _gate(state, [mode_a, mode_b], two_mode_squeeze_symplectic(gain))
 
 
-def apply_thermal_loss(state: State, mode: str, transmissivity, added_noise=0.0) -> State:
+def apply_thermal_loss(
+    state: GaussianState, mode: str, transmissivity, added_noise=0.0
+) -> GaussianState:
     """Thermal-loss channel, receiver-referred: output photon mean equals
     ``kappa * n_in + added_noise``.
 
@@ -369,33 +286,27 @@ def apply_thermal_loss(state: State, mode: str, transmissivity, added_noise=0.0)
     kappa.  kappa = 0 is rejected as degenerate; use `thermal` to construct
     the replacement state directly.
     """
-    state, kappa = _reject(
-        state,
+    kappa = _reject(
         transmissivity,
         lambda k: ~((0.0 < k) & (k <= 1.0)),
         lambda k: ValueError(f"transmissivity must be in (0, 1], got {k}"),
-        1.0,
     )
-    state, noise = _reject(
-        state,
-        added_noise,
-        lambda n: n < 0.0,
-        lambda n: ValueError("added noise photons must be >= 0"),
-        0.0,
+    noise = _reject(
+        added_noise, lambda n: n < 0.0, lambda n: ValueError("added noise photons must be >= 0")
     )
     kappa, noise = np.broadcast_arrays(kappa, noise)
-    cov, errors, single = _broadcast(state, kappa.shape)
+    cov, single = _broadcast(state, kappa.shape)
     i = 2 * state.mode_index(mode)
     scale = np.ones(cov.shape[:2])
     scale[:, i : i + 2] = np.sqrt(kappa).reshape(-1, 1)
     cov = cov * (scale[:, :, None] * scale[:, None, :])
     cov[:, i : i + 2, i : i + 2] += ((1.0 - kappa) + 2.0 * noise).reshape(-1, 1, 1) * np.eye(2)
-    return _result(state.mode_labels, cov, errors, single)
+    return _result(state.mode_labels, cov, single)
 
 
-def _block(state: State, mode_a: str, mode_b: str) -> np.ndarray:
+def _block(state: GaussianState, mode_a: str, mode_b: str) -> np.ndarray:
     """The (P, 2, 2) covariance block between two modes of each slice."""
-    cov = state.cov if isinstance(state, GaussianStack) else state.cov[None]
+    cov = _slices(state)
     ia, ib = 2 * state.mode_index(mode_a), 2 * state.mode_index(mode_b)
     return np.ascontiguousarray(cov[:, ia : ia + 2, ib : ib + 2])
 
@@ -405,24 +316,24 @@ def _clamp(x):
     return np.where(0.0 > x, 0.0, x)[()]
 
 
-def _per_slice(state: State, values: np.ndarray):
+def _per_slice(state: GaussianState, values: np.ndarray):
     """A stack's values as an array, a single state's as its one number."""
-    return values if isinstance(state, GaussianStack) else values[0]
+    return values.reshape(state.cov.shape[:-2])[()]
 
 
-def photon_mean(state: State, mode: str):
+def photon_mean(state: GaussianState, mode: str):
     """Mean photon number of one mode."""
     V = _block(state, mode, mode)
     return _per_slice(state, (np.trace(V, axis1=1, axis2=2) - 2.0) / 4.0)
 
 
-def photon_variance(state: State, mode: str):
+def photon_variance(state: GaussianState, mode: str):
     """Photon-number variance of one mode."""
     V = _block(state, mode, mode)
     return _per_slice(state, _clamp((np.trace(V @ V, axis1=1, axis2=2) - 2.0) / 8.0))
 
 
-def photon_covariance(state: State, mode_a: str, mode_b: str):
+def photon_covariance(state: GaussianState, mode_a: str, mode_b: str):
     """Photon-number covariance between two modes; the variance when both
     labels name the same mode."""
     if mode_a == mode_b:
@@ -431,7 +342,7 @@ def photon_covariance(state: State, mode_a: str, mode_b: str):
     return _per_slice(state, np.sum(C * C, axis=(1, 2)) / 8.0)
 
 
-def difference_stats(state: State, mode_a: str, mode_b: str):
+def difference_stats(state: GaussianState, mode_a: str, mode_b: str):
     """Mean and variance of the balanced difference count n_a - n_b."""
     if mode_a == mode_b:
         raise ModeError("difference statistics need two distinct modes")

@@ -77,7 +77,7 @@ class SensingScenario:
         return replace(self, **kwargs)
 
 
-def tmsv(n_s, labels: tuple[str, str] = ("S", "I")) -> g.State:
+def tmsv(n_s, labels: tuple[str, str] = ("S", "I")) -> g.GaussianState:
     """Two-mode squeezed vacuum with per-arm mean photon number n_s; a stack
     of them for a sequence of values."""
     n_s = np.asarray(n_s, dtype=float)
@@ -89,7 +89,7 @@ def tmsv(n_s, labels: tuple[str, str] = ("S", "I")) -> g.State:
 
 def split_thermal(
     n_signal, n_reference, labels: tuple[str, str] = ("S", "R")
-) -> g.State:
+) -> g.GaussianState:
     """Thermal source tapped into a signal arm of mean n_signal and a
     reference arm of mean n_reference; a stack of them for sequences of
     values.
@@ -109,16 +109,14 @@ def split_thermal(
             [cross, (2.0 * n_reference + 1.0)[..., None, None] * eye],
         ]
     )
-    if n_signal.ndim == 0:
-        return g.GaussianState(labels, cov)
-    return g.GaussianStack(labels, cov)
+    return g.GaussianState(labels, cov)
 
 
 def build_receiver_inputs(
     scenarios: Sequence[SensingScenario],
     variant: ProtocolVariant,
     thetas: Sequence[float] | None = None,
-) -> g.GaussianStack:
+) -> g.GaussianState:
     """States arriving at the receiver, one stack slice per scenario:
     phase-shifted probe through the lossy-noisy channel, plus the locally
     stored idler/reference.  Slice k is taken at phase thetas[k], or at
@@ -152,7 +150,7 @@ def build_receiver_input(
     scenario: SensingScenario, variant: ProtocolVariant
 ) -> g.GaussianState:
     """The one-scenario case of `build_receiver_inputs`: the state arriving
-    at the receiver, or the error that stopped it."""
+    at the receiver; raises the error that stopped it."""
     (state,) = build_receiver_inputs([scenario], variant).states()
     return state
 

@@ -51,7 +51,7 @@ class ReceiverStats:
         return self.var_diff / (self.scenario.M * self.calib_scale**2)
 
 
-def _pcr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianStack:
+def _pcr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianState:
     state = build_receiver_inputs(scenarios, ProtocolVariant.ENTANGLED, thetas)
     state = g.tensor(state, g.vacuum(("conj",)))
     # conjugate the return: conj <- sqrt(G) vac + sqrt(G-1) ret^dagger
@@ -59,7 +59,7 @@ def _pcr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.Gaus
     return g.apply_beamsplitter(state, "conj", "idler", 0.5)
 
 
-def _hr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianStack:
+def _hr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianState:
     state = build_receiver_inputs(scenarios, ProtocolVariant.CLASSICAL_THERMAL, thetas)
     return g.apply_beamsplitter(state, "ret", "ref", 0.5)
 
@@ -79,23 +79,29 @@ def stacked_receiver_stats(
     every scenario's receiver state in one stack.  Entry k is scenario k's
     ReceiverStats, or the exception that stopped it: its first failed
     gate, the theta pass before the theta = 0 pass, then a zero
-    calibration."""
+    calibration.
+
+    A stack raises on a failure in any slice, so when a pass fails, each
+    scenario is run again alone, and only the scenarios that fail alone
+    get an exception."""
     scenarios = list(scenarios)
     _, states_of, (mode_a, mode_b) = _RECEIVERS[variant]
-    at_theta = states_of(scenarios, [sc.theta for sc in scenarios])
-    at_zero = states_of(scenarios, [0.0] * len(scenarios))
+    try:
+        at_theta = states_of(scenarios, [sc.theta for sc in scenarios])
+        at_zero = states_of(scenarios, [0.0] * len(scenarios))
+    except ValueError as exc:  # StateError and LinAlgError included
+        if len(scenarios) == 1:
+            return [exc]
+        return [out for sc in scenarios for out in stacked_receiver_stats([sc], variant)]
     mean, var = g.difference_stats(at_theta, mode_a, mode_b)
     arm_a, arm_b = g.photon_mean(at_theta, mode_a), g.photon_mean(at_theta, mode_b)
     calib, _ = g.difference_stats(at_zero, mode_a, mode_b)
     out: list[ReceiverStats | Exception] = []
     for k, sc in enumerate(scenarios):
-        error = at_theta.errors[k] or at_zero.errors[k]
-        if error is None:
-            try:
-                stats = ReceiverStats(mean[k], var[k], calib[k], variant, sc, (arm_a[k], arm_b[k]))
-            except CalibrationError as exc:
-                error = exc
-        out.append(stats if error is None else error)
+        try:
+            out.append(ReceiverStats(mean[k], var[k], calib[k], variant, sc, (arm_a[k], arm_b[k])))
+        except CalibrationError as exc:
+            out.append(exc)
     return out
 
 

@@ -157,6 +157,26 @@ def test_sweep_failing_bounds_fail_only_their_points(tmp_path):
     assert [float(r["N_B"]) for r in rows] == [160.0, 160.0]
 
 
+def test_sweep_rejected_transmissivity_fails_only_its_points(tmp_path):
+    # kappa_T * kappa_E = 5e-324 * 0.36 underflows to 0.0, which the thermal-loss
+    # gate refuses inside the stacked receiver call; its neighbours still run
+    def data_rows(grid, name):
+        res = run(["sweep", *FAST, "--set", f"grid={grid}", "--out", str(tmp_path / name)])
+        rows = [l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
+        return res, rows[1:]
+
+    res, rows = data_rows('{"kappa_T":[0.5,5e-324,1.0]}', "s.csv")
+    assert res.exit_code == 1
+    failed = [l for l in res.stderr.splitlines() if l.startswith("FAILED")]
+    assert failed == [
+        f"FAILED kappa_T=4.94066e-324 variant={v}: transmissivity must be in (0, 1], got 0.0"
+        for v in ("entangled", "classical_thermal")
+    ]
+    assert [r.split(",")[2] for r in rows] == ["entangled", "classical_thermal"] * 2
+    # the first point's rows, at point indices 0 and 1, match a grid of that point alone
+    assert rows[:2] == data_rows('{"kappa_T":[0.5]}', "one.csv")[1]
+
+
 def test_fig5_has_schedule_columns(tmp_path):
     res = run(["fig5", *FAST, "--set", "t_grid=[0.0625,4.0]",
                "--set", 'variants=["entangled"]', "--out", str(tmp_path / "f5.csv")])

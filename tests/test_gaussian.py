@@ -234,16 +234,16 @@ def test_omega_returns_a_fresh_writable_array():
     assert g.omega(2)[0, 1] == 1.0
 
 
-def test_slice_the_eigensolver_fails_on_fails_alone():
+def test_slice_the_eigensolver_fails_on_fails_the_stack():
     # 2 * 1e308 overflows to inf, and inf * 0 puts NaN beside it: LAPACK
     # cannot diagonalise that slice, and raises for a whole stack at once
     state = g.apply_beamsplitter(g.tensor(g.thermal(0.3, "a"), g.thermal(2.0, "b")), "a", "b", 0.4)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError) as single:
             g.apply_thermal_loss(state, "a", 0.5, 1e308)
-        stack = g.apply_thermal_loss(state, "a", 0.5, [0.1, 1e308, 2.0])
-    assert [type(e) for e in stack.errors] == [type(None), np.linalg.LinAlgError, type(None)]
-    assert str(stack.errors[1]) == str(single.value)
-    assert np.array_equal(stack.cov[1], np.eye(4))
-    for k, noise in ((0, 0.1), (2, 2.0)):
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            g.apply_thermal_loss(state, "a", 0.5, [0.1, 1e308, 2.0])
+    assert str(stacked.value) == str(single.value)
+    stack = g.apply_thermal_loss(state, "a", 0.5, [0.1, 2.0])
+    for k, noise in enumerate((0.1, 2.0)):
         _assert_bit_identical(stack.cov[k], g.apply_thermal_loss(state, "a", 0.5, noise).cov)

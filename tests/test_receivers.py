@@ -172,28 +172,28 @@ def test_stacked_stats_match_one_scenario_calls_bit_for_bit():
 
 
 def test_corrupted_slice_fails_alone(monkeypatch):
-    scenarios = [DESK.with_(theta=theta) for theta in (0.2, 0.7, 1.9, 2.8)]
+    grid = [DESK.with_(theta=theta) for theta in (0.2, 0.7, 1.9, 2.8)]
     bad = 2
 
     def corrupting(scenarios, variant, thetas):
-        stack = build_receiver_inputs(scenarios, variant, thetas)
-        cov = stack.cov.copy()
-        cov[bad] *= 0.1  # below the uncertainty bound
-        return g.GaussianStack(stack.mode_labels, cov, stack.errors)
+        # picks the slice by scenario, so the one-scenario retries find it too
+        state = build_receiver_inputs(scenarios, variant, thetas)
+        hit = [sc is grid[bad] for sc in scenarios]
+        cov = np.where(np.array(hit)[:, None, None], 0.1, 1.0) * state.cov  # below the bound
+        return g.GaussianState(state.mode_labels, cov)
 
     for variant in ProtocolVariant:
-        clean = [receiver_stats(sc, variant) for sc in scenarios]
-        inputs = build_receiver_inputs(scenarios, variant)
+        clean = [receiver_stats(sc, variant) for sc in grid]
+        inputs = build_receiver_inputs(grid, variant)
         with pytest.raises(g.StateError) as single:
             g.GaussianState(inputs.mode_labels, 0.1 * inputs.cov[bad])
-        corrupted = corrupting(scenarios, variant, None)
-        assert [e is not None for e in corrupted.errors] == [k == bad for k in range(4)]
-        assert np.array_equal(corrupted.cov[bad], np.eye(4))
+        with pytest.raises(g.StateError):  # the whole stack fails
+            corrupting(grid, variant, None)
 
         with monkeypatch.context() as patch, warnings.catch_warnings():
             patch.setattr(receivers, "build_receiver_inputs", corrupting)
             warnings.simplefilter("error")
-            stacked = stacked_receiver_stats(scenarios, variant)
+            stacked = stacked_receiver_stats(grid, variant)
         assert type(stacked[bad]) is g.StateError
         assert str(stacked[bad]) == str(single.value)
         assert [_bits(s) for k, s in enumerate(stacked) if k != bad] == [
