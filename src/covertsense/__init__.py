@@ -22,7 +22,6 @@ from .gaussian import (
 from .protocol import (
     ProtocolVariant,
     SensingScenario,
-    build_receiver_input,
     build_receiver_inputs,
     split_thermal,
     tmsv,
@@ -36,7 +35,6 @@ from .receivers import (
     pcr_stats,
     receiver_stats,
     stacked_receiver_stats,
-    theory_mse,
 )
 from .adversary import (
     CovertnessReport,
@@ -76,7 +74,6 @@ __all__ = [
     "vacuum",
     "ProtocolVariant",
     "SensingScenario",
-    "build_receiver_input",
     "build_receiver_inputs",
     "split_thermal",
     "tmsv",
@@ -88,7 +85,6 @@ __all__ = [
     "pcr_stats",
     "receiver_stats",
     "stacked_receiver_stats",
-    "theory_mse",
     "CovertnessReport",
     "DetectionTest",
     "covertness_report",

@@ -56,20 +56,9 @@ class CovertnessReport:
     n1: float
     M: int
     epsilon: float
-    pe_lower_fidelity: float
+    pe_lower: float
     pe_exact: float
     method: str
-
-    def csv_row(self) -> dict:
-        return {
-            "n0": self.n0,
-            "n1": self.n1,
-            "M": self.M,
-            "epsilon": self.epsilon,
-            "pe_lower": self.pe_lower_fidelity,
-            "pe_exact": self.pe_exact,
-            "method": self.method,
-        }
 
 
 def thermal_rel_entropy(n_a: float, n_b: float) -> float:
@@ -299,7 +288,7 @@ def covertness_report(scenario: SensingScenario) -> CovertnessReport:
         n1=n1,
         M=m,
         epsilon=epsilon_of(scenario),
-        pe_lower_fidelity=pe_lower_bound(n0, n1, m),
+        pe_lower=pe_lower_bound(n0, n1, m),
         pe_exact=test.pe,
         method=test.method,
     )

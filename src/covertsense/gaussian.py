@@ -116,16 +116,6 @@ class GaussianState:
         i = 2 * self.mode_index(label)
         return self.cov[..., i : i + 2, i : i + 2].copy()
 
-    def states(self) -> list[GaussianState]:
-        """The slices as single states: a view that skips a second check."""
-        out = []
-        for cov in _slices(self):
-            state = object.__new__(GaussianState)
-            object.__setattr__(state, "mode_labels", self.mode_labels)
-            object.__setattr__(state, "cov", cov)
-            out.append(state)
-        return out
-
 
 def _slices(state: GaussianState) -> np.ndarray:
     """The state's covariance as a (P, 2n, 2n) stack, P = 1 for one state."""

@@ -132,9 +132,10 @@ def _det(a: list[list[Decimal]]) -> Decimal:
     return det
 
 
-def _fidelity_mp(state_a: GaussianState, state_b: GaussianState) -> Decimal:
-    """Same formula in 60-digit decimal arithmetic, for 1- or 2-mode states;
-    returns a Decimal so the caller can subtract from 1 without cancellation.
+def _fidelity_mp(cov_a: np.ndarray, cov_b: np.ndarray) -> Decimal:
+    """Same formula in 60-digit decimal arithmetic, for the covariance
+    matrices of two 1- or 2-mode states; returns a Decimal so the caller
+    can subtract from 1 without cancellation.
 
     The determinant det(2 (sqrt(m) + I) Vaux), m = I + (Vaux Omega)^-2 / 4,
     is taken from the symplectic spectrum instead of a matrix square root:
@@ -145,13 +146,13 @@ def _fidelity_mp(state_a: GaussianState, state_b: GaussianState) -> Decimal:
     nu_1 = nu_2.  tests/test_metrology.py keeps two binary-float references
     at the same precision that this must match bit for bit in qfi_phase:
     the same spectrum form, and the matrix-square-root form."""
-    n = state_a.n_modes
+    n = len(cov_a) // 2
     if n not in (1, 2):
         raise ValueError(f"multi-precision fidelity supports 1 or 2 modes, not {n} modes")
     with localcontext(_QFI_CONTEXT):
         eye = [[Decimal(int(i == j)) for j in range(2 * n)] for i in range(2 * n)]
-        sig1 = _decimal_matrix(state_a.cov / 2.0)
-        sig2 = _decimal_matrix(state_b.cov / 2.0)
+        sig1 = _decimal_matrix(cov_a / 2.0)
+        sig2 = _decimal_matrix(cov_b / 2.0)
         sig_sum = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(sig1, sig2)]
         # omega / 4 + sig2 omega sig1
         inner = _matmul(_times_omega(sig2), sig1)
@@ -173,11 +174,16 @@ def _fidelity_mp(state_a: GaussianState, state_b: GaussianState) -> Decimal:
 
 
 def qfi_of_family(
-    state_at: Callable[[float], GaussianState], theta: float
+    family: Callable[[list[float]], GaussianState], theta: float
 ) -> QfiResult:
     """QFI of a one-parameter Gaussian family by central finite differences
     of the fidelity, J = lim 8 (1 - F(theta - h/2, theta + h/2)) / h^2,
-    with Richardson extrapolation over the two QFI_STEPS."""
+    with Richardson extrapolation over the two QFI_STEPS.
+
+    family(phases) returns the family's states at a list of phases as one
+    stack; it is called once, at theta -+ h/2 for each step in turn."""
+    phases = [th for h in QFI_STEPS for th in (theta - h / 2.0, theta + h / 2.0)]
+    cov = family(phases).cov
     estimates = []
     # 1 - F is taken at 60 digits, where it is exact; the default 28-digit
     # context would round it before float() does.  Decimal rounds its
@@ -186,8 +192,8 @@ def qfi_of_family(
     # ~1e-16, so float(1 - F), and with it every QFI byte, does not depend
     # on the arithmetic.
     with localcontext(_QFI_CONTEXT):
-        for h in QFI_STEPS:
-            fid = _fidelity_mp(state_at(theta - h / 2.0), state_at(theta + h / 2.0))
+        for k, h in enumerate(QFI_STEPS):
+            fid = _fidelity_mp(cov[2 * k], cov[2 * k + 1])
             estimates.append(8.0 * float(1 - fid) / h**2)
     j1, j2 = estimates
     j = (4.0 * j2 - j1) / 3.0
@@ -206,12 +212,10 @@ def qfi_phase(scenario: SensingScenario, variant: ProtocolVariant) -> QfiResult:
     if scenario.N_S == 0.0:
         return QfiResult(J=0.0, qcrb_var=math.inf, richardson_error=0.0)
 
-    # the four phases qfi_of_family evaluates the family at, in its order,
-    # built as one stack
-    theta = scenario.theta
-    phases = [th for h in QFI_STEPS for th in (theta - h / 2.0, theta + h / 2.0)]
-    states = build_receiver_inputs([scenario] * len(phases), variant, phases).states()
-    result = qfi_of_family(dict(zip(phases, states)).__getitem__, theta)
+    result = qfi_of_family(
+        lambda phases: build_receiver_inputs([scenario] * len(phases), variant, phases),
+        scenario.theta,
+    )
     qcrb = math.inf if result.J == 0.0 else 1.0 / (scenario.M * result.J)
     return QfiResult(result.J, qcrb, result.richardson_error)
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolVariant, SensingScenario
-from .receivers import ReceiverStats, cosine_estimator, theory_mse
+from .receivers import ReceiverStats, cosine_estimator
 
 CLT_GUARD_COUNTS = 100.0
 DEFAULT_SHOTS = 2000
@@ -32,18 +31,15 @@ class CltGuardError(ValueError):
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Monte Carlo summary for one scenario point; cos_hat and theta_hat
-    hold the per-shot estimates in shot order."""
+    """Monte Carlo summary for one scenario point: the per-shot estimates in
+    shot order, their mean squared errors and the jackknife standard error
+    of mse_theta.  The theory values are ReceiverStats.var_cos/var_theta."""
 
-    scenario: SensingScenario
-    variant: ProtocolVariant
     cos_hat: np.ndarray
     theta_hat: np.ndarray
     mse_cos: float
     mse_theta: float
     stderr: float
-    theory_mse_cos: float
-    theory_mse: float
 
 
 def _stream(seed: int, point_index: int) -> np.random.Generator:
@@ -98,24 +94,11 @@ def simulate(
     cos_hat, theta_hat = cosine_estimator(stats, draws)
 
     theta = scenario.theta
-    cos_err = cos_hat - math.cos(theta)
     th_err = theta_hat - theta
-    mse_cos = float(np.mean(cos_err**2))
-    mse_theta = float(np.mean(th_err**2))
-
-    try:
-        _, th_theory = theory_mse(stats)
-    except ValueError:
-        th_theory = math.inf
-
     return EstimationResult(
-        scenario=scenario,
-        variant=stats.variant,
         cos_hat=cos_hat,
         theta_hat=theta_hat,
-        mse_cos=mse_cos,
-        mse_theta=mse_theta,
+        mse_cos=float(np.mean((cos_hat - math.cos(theta)) ** 2)),
+        mse_theta=float(np.mean(th_err**2)),
         stderr=_jackknife_stderr(th_err**2),
-        theory_mse_cos=stats.var_cos,
-        theory_mse=th_theory,
     )

@@ -115,12 +115,13 @@ def split_thermal(
 def build_receiver_inputs(
     scenarios: Sequence[SensingScenario],
     variant: ProtocolVariant,
-    thetas: Sequence[float] | None = None,
+    thetas: Sequence[float],
 ) -> g.GaussianState:
     """States arriving at the receiver, one stack slice per scenario:
     phase-shifted probe through the lossy-noisy channel, plus the locally
-    stored idler/reference.  Slice k is taken at phase thetas[k], or at
-    scenario k's own theta when thetas is None.
+    stored idler/reference.  Slice k is scenario k's state at phase
+    thetas[k]: its own theta, theta = 0 for a calibration, or a shifted
+    phase for a finite-difference QFI.  Raises the first error of any slice.
 
     Modes: ("ret", "idler") for the entangled variant, ("ret", "ref") for
     the classical one.
@@ -137,22 +138,11 @@ def build_receiver_inputs(
         retained = "ref"
     else:
         raise ValueError(f"unknown variant {variant}")
-    if thetas is None:
-        thetas = [sc.theta for sc in scenarios]
     state = g.apply_phase(state, "ret", column(thetas))
     state = g.apply_thermal_loss(
         state, "ret", column([sc.kappa for sc in scenarios]), column([sc.N_B for sc in scenarios])
     )
     return g.apply_thermal_loss(state, retained, column([sc.kappa_I for sc in scenarios]), 0.0)
-
-
-def build_receiver_input(
-    scenario: SensingScenario, variant: ProtocolVariant
-) -> g.GaussianState:
-    """The one-scenario case of `build_receiver_inputs`: the state arriving
-    at the receiver; raises the error that stopped it."""
-    (state,) = build_receiver_inputs([scenario], variant).states()
-    return state
 
 
 def willie_brightnesses(scenario: SensingScenario) -> tuple[float, float]:

@@ -50,6 +50,13 @@ class ReceiverStats:
         """Variance of the cosine estimator from the scenario's M mode pairs."""
         return self.var_diff / (self.scenario.M * self.calib_scale**2)
 
+    @property
+    def var_theta(self) -> float:
+        """Delta-method variance of the phase estimator, var_cos / sin^2(theta):
+        inf at sin(theta) = 0, and already unreliable for |sin theta| < 0.1."""
+        s = math.sin(self.scenario.theta)
+        return math.inf if s == 0.0 else self.var_cos / s**2
+
 
 def _pcr_states(scenarios: list[SensingScenario], thetas: list[float]) -> g.GaussianState:
     state = build_receiver_inputs(scenarios, ProtocolVariant.ENTANGLED, thetas)
@@ -81,15 +88,16 @@ def stacked_receiver_stats(
     gate, the theta pass before the theta = 0 pass, then a zero
     calibration.
 
-    A stack raises on a failure in any slice, so when a pass fails, each
-    scenario is run again alone, and only the scenarios that fail alone
-    get an exception."""
+    A stack raises on a failure in any slice, so when a pass fails (a
+    ValueError such as StateError or LinAlgError, or a RuntimeWarning
+    where warnings are errors), each scenario is run again alone, and only
+    the scenarios that fail alone get an exception."""
     scenarios = list(scenarios)
     _, states_of, (mode_a, mode_b) = _RECEIVERS[variant]
     try:
         at_theta = states_of(scenarios, [sc.theta for sc in scenarios])
         at_zero = states_of(scenarios, [0.0] * len(scenarios))
-    except ValueError as exc:  # StateError and LinAlgError included
+    except (ValueError, RuntimeWarning) as exc:
         if len(scenarios) == 1:
             return [exc]
         return [out for sc in scenarios for out in stacked_receiver_stats([sc], variant)]
@@ -135,14 +143,3 @@ def cosine_estimator(
     clamped = np.clip(cos_hat, -1.0, 1.0).tolist()
     theta_hat = np.fromiter(map(math.acos, clamped), np.float64, count=len(clamped))
     return cos_hat, theta_hat
-
-
-def theory_mse(stats: ReceiverStats) -> tuple[float, float]:
-    """(var_cos, var_theta) of the estimators built from the scenario's M
-    i.i.d. mode pairs.  var_theta comes from the delta method and is
-    singular at theta in {0, pi}; it degrades already for |sin theta| < 0.1."""
-    s = math.sin(stats.scenario.theta)
-    if s == 0.0:
-        raise ValueError("delta method is singular at theta = 0 or pi")
-    var_cos = stats.var_cos
-    return var_cos, var_cos / s**2

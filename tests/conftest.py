@@ -14,7 +14,7 @@ from covertsense.protocol import SensingScenario, split_thermal, tmsv
 
 
 def oracle_receiver_input_entangled(sc: SensingScenario, cutoffs) -> f.FockState:
-    """Fock-space mirror of build_receiver_input for the entangled variant:
+    """Fock-space mirror of build_receiver_inputs for the entangled variant:
     modes (ret, idler)."""
     st = f.from_gaussian(tmsv(sc.N_S, ("ret", "idler")), cutoffs)
     st = f.fock_phase(st, 0, sc.theta)
@@ -23,7 +23,7 @@ def oracle_receiver_input_entangled(sc: SensingScenario, cutoffs) -> f.FockState
 
 
 def oracle_receiver_input_classical(sc: SensingScenario, cutoffs) -> f.FockState:
-    """Fock-space mirror of build_receiver_input for the classical variant:
+    """Fock-space mirror of build_receiver_inputs for the classical variant:
     modes (ret, ref)."""
     st = f.from_gaussian(split_thermal(sc.N_S, sc.N_R, ("ret", "ref")), cutoffs)
     st = f.fock_phase(st, 0, sc.theta)

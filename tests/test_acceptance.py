@@ -31,11 +31,10 @@ from covertsense.montecarlo import simulate
 from covertsense.protocol import (
     ProtocolVariant,
     SensingScenario,
-    build_receiver_input,
     split_thermal,
     tmsv,
 )
-from covertsense.receivers import hr_stats, pcr_stats, receiver_stats, theory_mse
+from covertsense.receivers import hr_stats, pcr_stats, receiver_stats
 
 ENT = ProtocolVariant.ENTANGLED
 CLS = ProtocolVariant.CLASSICAL_THERMAL
@@ -74,8 +73,8 @@ def test_criterion_1_quantum_advantage_direction(capsys):
 def test_criterion_2_mse_advantage_magnitude(capsys):
     """Ideal-device theory MSE ratio entangled/classical <= 0.60."""
     sc = SensingScenario(kappa_I=1.0, G_pc=1.01, N_B=160.0, N_S=8e-4, theta=math.pi / 2)
-    _, v_ent = theory_mse(pcr_stats(sc))
-    _, v_cls = theory_mse(hr_stats(sc))
+    v_ent = pcr_stats(sc).var_theta
+    v_cls = hr_stats(sc).var_theta
     ratio = v_ent / v_cls
     report(capsys, 2, ratio <= 0.60, f"ideal-device MSE ratio {ratio:.4f} <= 0.60")
 
@@ -113,8 +112,7 @@ def test_criterion_4_fixed_covertness_flatness(capsys):
         for n_b in nb_grid:
             base = SensingScenario(W=1e10, N_B=n_b)
             sc = base.with_(N_S=solve_ns_for_epsilon(2e-4, base))
-            _, v = theory_mse(receiver_stats(sc, variant))
-            vals.append(v)
+            vals.append(receiver_stats(sc, variant).var_theta)
             if variant is ENT:
                 eps_vals.append(epsilon_of(sc))
         vals = np.array(vals)
@@ -143,7 +141,7 @@ def test_criterion_5_square_root_law(capsys):
         return pe_optimal_counting(n0, n1, sc.M).pe
 
     def slope(scenarios, variant):
-        mses = [theory_mse(receiver_stats(sc, variant))[1] for sc in scenarios]
+        mses = [receiver_stats(sc, variant).var_theta for sc in scenarios]
         return float(np.polyfit(np.log(t_grid), np.log(mses), 1)[0])
 
     pe_obey = np.array([pe_of(sc) for sc in obey])
@@ -354,9 +352,9 @@ def test_criterion_8_bound_ladder_and_estimator_sanity(capsys, tmp_path):
     bound = 3.0 * math.sqrt(2.0 / 2000.0)
     worst_dev = 0.0
     for i, (variant, n_b) in enumerate(((ENT, 160.0), (CLS, 160.0), (ENT, 640.0))):
-        res = simulate(receiver_stats(SensingScenario(N_B=n_b), variant), 2000, seed=7,
-                       point_index=i)
-        worst_dev = max(worst_dev, abs(res.mse_cos / res.theory_mse_cos - 1.0))
+        stats = receiver_stats(SensingScenario(N_B=n_b), variant)
+        res = simulate(stats, 2000, seed=7, point_index=i)
+        worst_dev = max(worst_dev, abs(res.mse_cos / stats.var_cos - 1.0))
     concentration_ok = worst_dev <= bound
 
     a = simulate(pcr_stats(SensingScenario()), 2000, seed=3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,9 +190,9 @@ def test_sqrt_law_schedule_holds_constant():
 
 def test_covertness_report_ladder_and_csv():
     rep = covertness_report(SensingScenario())
-    assert rep.pe_lower_fidelity <= rep.pe_exact <= 0.5
-    row = rep.csv_row()
-    assert set(row) == {"n0", "n1", "M", "epsilon", "pe_lower", "pe_exact", "method"}
+    assert rep.pe_lower <= rep.pe_exact <= 0.5
+    row = dataclasses.asdict(rep)
+    assert list(row) == ["n0", "n1", "M", "epsilon", "pe_lower", "pe_exact", "method"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -175,6 +177,44 @@ def test_sweep_rejected_transmissivity_fails_only_its_points(tmp_path):
     assert [r.split(",")[2] for r in rows] == ["entangled", "classical_thermal"] * 2
     # the first point's rows, at point indices 0 and 1, match a grid of that point alone
     assert rows[:2] == data_rows('{"kappa_T":[0.5]}', "one.csv")[1]
+
+
+def test_sweep_overflowing_background_fails_only_its_points(tmp_path):
+    # where RuntimeWarning is an error, as in this suite, the thermal-loss
+    # gate's overflow at N_B = 1e308 fails that point's rows, not the sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run(["sweep", *FAST, "--set", "grid.N_B=[1.0e+308,160]",
+                   "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 1
+    failed = [l for l in res.stderr.splitlines() if l.startswith("FAILED")]
+    assert failed == [
+        f"FAILED N_B=1e+308 variant={v}: overflow encountered in multiply"
+        for v in ("entangled", "classical_thermal")
+    ]
+    lines = [l for l in (tmp_path / "s.csv").read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    assert [(r["N_B"], r["variant"]) for r in rows] == [
+        ("160.0", "entangled"), ("160.0", "classical_thermal")
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("sweep", "grid=5", "grid must be a mapping"),
+        ("sweep", "grid=null", "grid must be a mapping"),
+        ("qcrb", "grid=5", "grid must be a mapping"),
+        ("fig3", "theta_grid=5", "theta_grid must be a list"),
+        ("fig4", "nb_grid=5", "nb_grid must be a list"),
+        ("fig5", "t_grid=5", "t_grid must be a list"),
+    ],
+)
+def test_config_value_shape_comes_from_defaults(command, setting, message):
+    res = CliRunner().invoke(main, [command, "--set", setting])
+    assert res.exit_code == 2
+    assert message in res.output
 
 
 def test_fig5_has_schedule_columns(tmp_path):

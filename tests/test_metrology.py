@@ -19,7 +19,7 @@ from covertsense.metrology import (
     receiver_fisher,
 )
 from covertsense.protocol import ProtocolVariant, SensingScenario, tmsv
-from covertsense.receivers import CalibrationError, pcr_stats, receiver_stats, theory_mse
+from covertsense.receivers import CalibrationError, pcr_stats, receiver_stats
 
 QCRB_VARIANTS = (ProtocolVariant.ENTANGLED, ProtocolVariant.CLASSICAL_THERMAL)
 
@@ -105,8 +105,7 @@ def test_qfi_of_family_on_explicit_rotation():
 def test_receiver_fisher_matches_theory_inverse():
     sc = SensingScenario(theta=1.1)
     stats = pcr_stats(sc)
-    _, var_theta = theory_mse(stats)
-    assert receiver_fisher(stats) == pytest.approx(1.0 / (sc.M * var_theta), rel=1e-10)
+    assert receiver_fisher(stats) == pytest.approx(1.0 / (sc.M * stats.var_theta), rel=1e-10)
 
 
 def test_receiver_never_beats_qcrb():
@@ -161,7 +160,7 @@ def test_bounds_hold_over_the_scenario_domain():
             slack = 1e-11
             if n0 > 0.0:  # at n0 = 0, pe_exact is the closed form p1^M / 2
                 slack += 1e-16 * math.sqrt(1.0 + m * n1) / min(n0, 1.0)
-            assert report.pe_lower_fidelity <= report.pe_exact + slack
+            assert report.pe_lower <= report.pe_exact + slack
             assert report.pe_exact <= 0.5
             assert report.pe_exact >= 0.5 - report.epsilon - slack
             assert j_rec <= j_q * (1.0 + 1e-6)
@@ -178,25 +177,25 @@ def test_qfi_rejects_three_modes():
         qfi_of_family(family, 0.5)
 
 
-def _mp_aux(state_a: g.GaussianState, state_b: g.GaussianState):
+def _mp_aux(cov_a: np.ndarray, cov_b: np.ndarray):
     """(sig_sum, Vaux, m = I + (Vaux Omega)^-2 / 4) in mpmath, at the
     caller's working precision."""
-    n = state_a.n_modes
+    n = len(cov_a) // 2
     om = mp.matrix(g.omega(n).tolist())
-    sig1 = mp.matrix(state_a.cov.tolist()) / 2
-    sig2 = mp.matrix(state_b.cov.tolist()) / 2
+    sig1 = mp.matrix(cov_a.tolist()) / 2
+    sig2 = mp.matrix(cov_b.tolist()) / 2
     sig_sum = sig1 + sig2
     vaux = om.T * (sig_sum**-1) * (om / 4 + sig2 * om * sig1)
     w = vaux * om
     return sig_sum, vaux, mp.eye(2 * n) + (w**-1) ** 2 / 4
 
 
-def fidelity_mp_spectrum(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
+def fidelity_mp_spectrum(cov_a: np.ndarray, cov_b: np.ndarray) -> mp.mpf:
     """Reference for metrology._fidelity_mp in mpmath: the same spectrum
     form, det(sqrt(m) + I) read off tr m and det m, in binary arithmetic."""
-    n = state_a.n_modes
+    n = len(cov_a) // 2
     with mp.workdps(QFI_PRECISION_DPS):
-        sig_sum, vaux, m = _mp_aux(state_a, state_b)
+        sig_sum, vaux, m = _mp_aux(cov_a, cov_b)
         mu_sum = sum(m[i, i] for i in range(2 * n)) / 2
         mu_geo = max(mp.det(m), 0) ** mp.mpf("0.25") if n == 2 else mp.mpf(0)
         prod = 1 + mu_geo + mp.sqrt(max(mu_sum + 2 * mu_geo, 0))
@@ -204,12 +203,12 @@ def fidelity_mp_spectrum(state_a: g.GaussianState, state_b: g.GaussianState) -> 
         return (ftot4 / mp.det(sig_sum)) ** mp.mpf("0.25")
 
 
-def fidelity_mp_sqrtm(state_a: g.GaussianState, state_b: g.GaussianState) -> mp.mpf:
+def fidelity_mp_sqrtm(cov_a: np.ndarray, cov_b: np.ndarray) -> mp.mpf:
     """Reference for metrology._fidelity_mp in mpmath: the
     Banchi-Braunstein-Pirandola fidelity with det(2 (sqrt(m) + I) Vaux)
     taken through mp.sqrtm."""
     with mp.workdps(QFI_PRECISION_DPS):
-        sig_sum, vaux, m = _mp_aux(state_a, state_b)
+        sig_sum, vaux, m = _mp_aux(cov_a, cov_b)
         ftot4 = mp.det(2 * (mp.sqrtm(m) + mp.eye(m.rows)) * vaux)
         return (mp.re(ftot4) / mp.det(sig_sum)) ** mp.mpf("0.25")
 

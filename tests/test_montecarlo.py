@@ -33,9 +33,10 @@ def test_point_index_gives_independent_streams():
 
 def test_cos_estimator_unbiased():
     sc = SC.with_(theta=1.0)
-    res = simulate(pcr_stats(sc), 100_000, seed=3)
+    stats = pcr_stats(sc)
+    res = simulate(stats, 100_000, seed=3)
     cos_mean = float(np.mean(res.cos_hat))
-    sem = math.sqrt(res.theory_mse_cos / 100_000)
+    sem = math.sqrt(stats.var_cos / 100_000)
     assert abs(cos_mean - math.cos(1.0)) < 3.0 * sem
 
 
@@ -43,7 +44,7 @@ def test_mse_cos_concentrates_on_theory():
     bound = 3.0 * math.sqrt(2.0 / 2000.0)
     for seed in (0, 1, 2):
         res = simulate(PCR, 2000, seed)
-        assert abs(res.mse_cos / res.theory_mse_cos - 1.0) <= bound
+        assert abs(res.mse_cos / PCR.var_cos - 1.0) <= bound
 
 
 def test_result_invariants():

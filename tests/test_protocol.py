@@ -8,7 +8,7 @@ from covertsense import gaussian as g
 from covertsense.protocol import (
     ProtocolVariant,
     SensingScenario,
-    build_receiver_input,
+    build_receiver_inputs,
     split_thermal,
     tmsv,
     willie_brightnesses,
@@ -82,14 +82,14 @@ def test_receiver_input_identity_channel_preserves_source():
     sc = SensingScenario(
         N_S=0.2, N_B=0.0, kappa_T=1.0, kappa_E=1.0, kappa_I=1.0, theta=0.0
     )
-    out = build_receiver_input(sc, ProtocolVariant.ENTANGLED)
+    out = build_receiver_inputs([sc], ProtocolVariant.ENTANGLED, [sc.theta])
     src = tmsv(0.2, ("ret", "idler"))
     assert np.allclose(out.cov, src.cov, atol=1e-10)
 
 
 def test_receiver_input_return_brightness_at_reference_point():
     sc = SensingScenario()  # N_S=8e-4, N_B=160, kappa=0.0165
-    out = build_receiver_input(sc, ProtocolVariant.ENTANGLED)
+    out = build_receiver_inputs([sc], ProtocolVariant.ENTANGLED, [sc.theta])
     assert g.photon_mean(out, "ret") == pytest.approx(
         0.0165 * 8e-4 + 160.0, rel=1e-10
     )
@@ -99,16 +99,17 @@ def test_receiver_input_cross_magnitude_scaling():
     sc = SensingScenario(
         N_S=0.1, kappa_T=0.9, kappa_E=0.6, kappa_I=0.8, N_B=0.5, theta=0.0
     )
-    out = build_receiver_input(sc, ProtocolVariant.ENTANGLED)
-    cross = out.cov[:2, 2:]
+    out = build_receiver_inputs([sc], ProtocolVariant.ENTANGLED, [sc.theta])
+    cross = out.cov[0, :2, 2:]
     expected = 2.0 * math.sqrt(sc.kappa * sc.kappa_I * 0.1 * 1.1)
     assert cross[0, 0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_receiver_input_theta_2pi_equivalence():
     sc = SensingScenario(theta=0.8)
-    a = build_receiver_input(sc, ProtocolVariant.ENTANGLED)
-    b = build_receiver_input(sc.with_(theta=0.8 + 2 * math.pi), ProtocolVariant.ENTANGLED)
+    turned = sc.with_(theta=0.8 + 2 * math.pi)
+    a = build_receiver_inputs([sc], ProtocolVariant.ENTANGLED, [sc.theta])
+    b = build_receiver_inputs([turned], ProtocolVariant.ENTANGLED, [turned.theta])
     assert np.allclose(a.cov, b.cov, atol=1e-12)
 
 

@@ -18,7 +18,6 @@ from covertsense.receivers import (
     pcr_stats,
     receiver_stats,
     stacked_receiver_stats,
-    theory_mse,
 )
 
 from conftest import SCENARIO_PARAMS, oracle_hr_stats, oracle_pcr_stats
@@ -92,23 +91,21 @@ def test_cosine_estimator_is_clamped_math_acos_per_shot():
 
 def test_theory_mse_scales_inverse_m():
     # the per-mode statistics do not depend on W or T, only M = W*T does
-    v1, t1 = theory_mse(pcr_stats(DESK.with_(W=1000.0, T=1.0)))
-    v2, t2 = theory_mse(pcr_stats(DESK.with_(W=4000.0, T=1.0)))
-    assert v1 / v2 == pytest.approx(4.0, rel=1e-12)
-    assert t1 / t2 == pytest.approx(4.0, rel=1e-12)
+    s1 = pcr_stats(DESK.with_(W=1000.0, T=1.0))
+    s2 = pcr_stats(DESK.with_(W=4000.0, T=1.0))
+    assert s1.var_cos / s2.var_cos == pytest.approx(4.0, rel=1e-12)
+    assert s1.var_theta / s2.var_theta == pytest.approx(4.0, rel=1e-12)
 
 
 def test_theory_mse_singular_at_theta_zero():
     st = pcr_stats(DESK.with_(theta=0.0))
-    with pytest.raises(ValueError):
-        theory_mse(st)
+    assert st.var_theta == math.inf
+    assert math.isfinite(st.var_cos)
 
 
 def test_entangled_beats_classical_at_reference_point():
     sc = SensingScenario()
-    _, ve = theory_mse(pcr_stats(sc))
-    _, vc = theory_mse(hr_stats(sc))
-    assert ve < vc
+    assert pcr_stats(sc).var_theta < hr_stats(sc).var_theta
 
 
 def test_pcr_matches_fock_oracle():
@@ -184,11 +181,12 @@ def test_corrupted_slice_fails_alone(monkeypatch):
 
     for variant in ProtocolVariant:
         clean = [receiver_stats(sc, variant) for sc in grid]
-        inputs = build_receiver_inputs(grid, variant)
+        thetas = [sc.theta for sc in grid]
+        inputs = build_receiver_inputs(grid, variant, thetas)
         with pytest.raises(g.StateError) as single:
             g.GaussianState(inputs.mode_labels, 0.1 * inputs.cov[bad])
         with pytest.raises(g.StateError):  # the whole stack fails
-            corrupting(grid, variant, None)
+            corrupting(grid, variant, thetas)
 
         with monkeypatch.context() as patch, warnings.catch_warnings():
             patch.setattr(receivers, "build_receiver_inputs", corrupting)
@@ -199,3 +197,16 @@ def test_corrupted_slice_fails_alone(monkeypatch):
         assert [_bits(s) for k, s in enumerate(stacked) if k != bad] == [
             _bits(s) for k, s in enumerate(clean) if k != bad
         ]
+
+
+def test_runtime_warning_fails_only_its_scenario():
+    # where RuntimeWarning is an error, the thermal-loss gate's 2 * N_B
+    # overflow at N_B = 1e308 must fail that scenario alone
+    grid = [SensingScenario(), SensingScenario(N_B=1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stacked = stacked_receiver_stats(grid, ProtocolVariant.ENTANGLED)
+        (alone,) = stacked_receiver_stats(grid[:1], ProtocolVariant.ENTANGLED)
+    assert _bits(stacked[0]) == _bits(alone)
+    assert type(stacked[1]) is RuntimeWarning
+    assert "overflow" in str(stacked[1])

@@ -13,14 +13,17 @@ A fixed list of CLI invocations (``EDGE_INVOCATIONS``: a zero
 background; a zero background over T = 1 s, once with M n1 ~ 2.3e4 on
 Willie's exact count and once at N_S = 0.1, M n1 ~ 2.9e6, past its CLT
 switch-over; a zero probe; a time grid below one mode; ``qcrb`` at its
-defaults; ``qcrb`` over a grid from N_B = 1e-3 to 1280; and two ``sweep``
+defaults; ``qcrb`` over a grid from N_B = 1e-3 to 1280; two ``sweep``
 grids whose stacked receiver call fails and is retried one scenario at a
 time, one at N_B = 1e308, where the eigensolver fails on a non-finite
 slice, and one at kappa_T = kappa_E = 1e-200, where the thermal-loss gate
-rejects kappa = 0.0 next to a point with a zero calibration) is also run
-from each tree with ``python -m covertsense.cli``.  These may fail by design, so each gets one SAME or
-DIFF line over four things: the exit code, the output file's bytes (or its
-absence), the ``FAILED ...`` lines on stderr, and the last stderr line.
+rejects kappa = 0.0 next to a point with a zero calibration; and a
+``sweep`` over theta = 0, pi and 1 written as JSON, where sin(theta) = 0
+makes the delta-method ``theory_mse`` infinite) is also run from each
+tree with ``python -m covertsense.cli``.  These may fail by design, so
+each gets one SAME or DIFF line over four things: the exit code, the
+output file's bytes (or its absence), the ``FAILED ...`` lines on
+stderr, and the last stderr line.
 Whole tracebacks are not compared, since they hold the tree's paths.
 
 The exit code is 1 if any file or edge invocation differs or any workload
@@ -49,6 +52,7 @@ EDGE_INVOCATIONS = (
     ("fig5", "--set", "t_grid=[1e-12,0.0625]"),
     ("sweep", "--set", "grid.N_B=[1.0e+308,160]"),
     ("sweep", "--set", "grid.kappa_T=[1e-200,0.5]", "--set", "grid.kappa_E=[1e-200]"),
+    ("sweep", "--set", "grid.theta=[0,3.141592653589793,1]", "--format", "json"),
 )
 EDGE_PARTS = ("exit code", "output bytes", "FAILED lines", "last stderr line")
 
