@@ -23,16 +23,25 @@ from ``stats.nbinom`` in the last bit on most inputs.  The guard test in
 ``tests/test_adversary.py`` compares every helper bit for bit with the
 ``stats`` wrappers, so a SciPy upgrade that moves or changes a ufunc
 fails there.
+
+The two optimisers are Brent's (*Algorithms for Minimization without
+Derivatives*, 1973), ported operation for operation from SciPy 1.17.1 so
+that no CLI process imports ``scipy.optimize``: ``_brentq`` is its
+``brentq`` root finder, which ``solve_ns_for_epsilon`` uses, and
+``_minimize_bounded`` its bounded ``minimize_scalar``, which the CLT
+threshold test uses.  ``test_root_finder_port_matches_scipy_bit_for_bit``
+and ``test_minimizer_port_matches_scipy_bit_for_bit`` in the same file
+hold each to SciPy's result (or exception) bit for bit on 10^4 seeded
+inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import _ufuncs, ndtr
 
 from .protocol import SensingScenario, willie_brightnesses
@@ -194,6 +203,87 @@ def _pe_threshold_exact(n0: float, n1: float, m: int) -> DetectionTest:
     return DetectionTest(threshold=best_t, pe=min(best_pe, 0.5), method="exact_threshold")
 
 
+def _minimize_bounded(
+    func: Callable[[float], float], x1: float, x2: float
+) -> tuple[np.float64, np.float64]:
+    """(f(x), x) at a minimum of func on [x1, x2] by Brent's bounded method
+    (Brent 1973, ch. 5): what SciPy 1.17.1's ``minimize_scalar(func,
+    bounds=(x1, x2), method="bounded")`` returns as ``(res.fun, res.x)``.
+    Its ``_minimize_scalar_bounded`` is ported operation for operation, with
+    the wrapper's bounds checks and scalar conversion and without its
+    status flag and printing, at SciPy's default tolerances."""
+    xatol, maxiter = 1e-5, 500
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:  # golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    fun = np.asarray(fx)[()]
+    return fun, np.reshape(xf, fun.shape)[()]
+
+
 def _pe_threshold_gaussian(n0: float, n1: float, m: int) -> DetectionTest:
     """Gaussian (CLT) approximation of the threshold test, minimized over a
     continuous threshold between the two means.
@@ -209,9 +299,9 @@ def _pe_threshold_gaussian(n0: float, n1: float, m: int) -> DetectionTest:
     def pe_at(t: float) -> float:
         return 0.5 * (_norm_sf(t, mu0, s0) + _norm_cdf(t, mu1, s1))
 
-    res = minimize_scalar(pe_at, bounds=(mu0, mu1), method="bounded")
-    pe = min(float(res.fun), 0.5)
-    return DetectionTest(threshold=int(round(res.x)), pe=pe, method="gaussian_approx")
+    fun, x = _minimize_bounded(pe_at, mu0, mu1)
+    pe = min(float(fun), 0.5)
+    return DetectionTest(threshold=int(round(x)), pe=pe, method="gaussian_approx")
 
 
 def pe_optimal_counting(n0: float, n1: float, m_copies: int) -> DetectionTest:
@@ -237,6 +327,62 @@ def pe_optimal_counting(n0: float, n1: float, m_copies: int) -> DetectionTest:
     return _pe_threshold_gaussian(n0, n1, m)
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method (Brent 1973, ch. 4): SciPy 1.17.1's ``brentq``, its C
+    routine and the NaN check it wraps f in, ported operation for
+    operation with the same exceptions and messages, at SciPy's default of
+    100 iterations."""
+    maxiter = 100
+
+    def checked(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)  # a C double from here on
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = checked(xpre), checked(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):  # C's signbit test, for nonzero values
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = checked(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def solve_ns_for_epsilon(epsilon_target: float, scenario: SensingScenario) -> float:
     """Invert epsilon_of for the probe brightness at fixed channel and M.
 
@@ -254,8 +400,7 @@ def solve_ns_for_epsilon(epsilon_target: float, scenario: SensingScenario) -> fl
         raise ValueError(
             f"epsilon target {epsilon_target} unreachable with N_S <= {NS_SOLVER_CAP}"
         )
-    root = brentq(gap, 0.0, NS_SOLVER_CAP, xtol=1e-300, rtol=1e-12)
-    return float(root)
+    return _brentq(gap, 0.0, NS_SOLVER_CAP, xtol=1e-300, rtol=1e-12)
 
 
 def sqrt_law_schedule(

@@ -22,7 +22,7 @@ import yaml
 from . import __version__
 from .adversary import covertness_report, solve_ns_for_epsilon, sqrt_law_schedule
 from .metrology import qfi_phase
-from .montecarlo import DEFAULT_SHOTS, check_shots, simulate
+from .montecarlo import DEFAULT_SHOTS, simulate
 from .protocol import ProtocolVariant, SensingScenario
 from .receivers import ReceiverStats, stacked_receiver_stats
 
@@ -65,19 +65,57 @@ class ConfigError(click.ClickException):
     exit_code = 2
 
 
+# the ranges of the --seed and --shots flags, which the config keys share
+_INT_RANGES: dict[str, tuple[int, int | None]] = {"seed": (0, 2**64 - 1), "shots": (2, None)}
+
+
+def _as_float(val: Any, message: str) -> float:
+    """float(val), or a ConfigError saying message.  YAML 1.1 loads
+    exponent forms without a dot, like 1e-3 or 8.0e3, as strings."""
+    try:
+        return float(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{message}, got {val!r}") from exc
+
+
+def _checked_value(where: str, default: Any, val: Any) -> Any:
+    """val for a key whose default is default, in the default's type: a
+    bool takes a bool; seed and shots take an int in their flag's range; a
+    float takes an int or a float unchanged, or a numeric string as its
+    float; a list or a mapping takes one of the same shape."""
+    if isinstance(default, bool):
+        if not isinstance(val, bool):
+            raise ConfigError(f"{where} must be true or false, got {val!r}")
+    elif isinstance(default, int):
+        lo, hi = _INT_RANGES[where]
+        if isinstance(val, bool) or not isinstance(val, int) or val < lo or (
+            hi is not None and val > hi
+        ):
+            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{where} must be an integer {bounds}, got {val!r}")
+    elif isinstance(default, float):
+        if isinstance(val, str):
+            return _as_float(val, f"{where} must be a number")
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {val!r}")
+    else:
+        for shape, name in ((list, "a list"), (dict, "a mapping")):
+            if isinstance(default, shape) and not isinstance(val, shape):
+                raise ConfigError(f"{where} must be {name}")
+    return val
+
+
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    """Merge override into base, rejecting keys absent from base and, where
-    a default is a list or a mapping, values of any other shape (the
-    defaults tree doubles as the schema).  A grid replaces its default
-    whole: its keys are checked when the grid is expanded."""
+    """Merge override into base, rejecting keys absent from base and values
+    whose type does not fit the default (the defaults tree doubles as the
+    schema; see _checked_value).  A grid replaces its default whole: its
+    keys are checked when the grid is expanded."""
     out = dict(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        for shape, name in ((list, "a list"), (dict, "a mapping")):
-            if isinstance(base[key], shape) and not isinstance(val, shape):
-                raise ConfigError(f"{where} must be {name}")
+        val = _checked_value(where, base[key], val)
         if isinstance(base[key], dict) and key != "grid":
             out[key] = _deep_merge(base[key], val, where)
         else:
@@ -198,7 +236,6 @@ def _mc_row(config: dict, case: tuple[SensingScenario, dict] | Exception,
     if isinstance(case, Exception):
         raise case
     scenario, extra = case
-    check_shots(config["shots"])  # simulate's first check comes before the point's own failure
     if isinstance(stats, Exception):
         raise stats
     res = simulate(stats, shots=config["shots"], seed=config["seed"], point_index=point_index)
@@ -255,8 +292,8 @@ def _mc_points(
 _common_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="YAML config file."),
     click.option("--set", "sets", multiple=True, metavar="KEY=VAL", help="Override a config key (repeatable, dotted paths)."),
-    click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="RNG seed."),
-    click.option("--shots", type=click.IntRange(2), default=None, help="Monte Carlo shots per point."),
+    click.option("--seed", type=click.IntRange(*_INT_RANGES["seed"]), default=None, help="RNG seed."),
+    click.option("--shots", type=click.IntRange(*_INT_RANGES["shots"]), default=None, help="Monte Carlo shots per point."),
     click.option("--out", default="-", show_default=True, help="Output path ('-' for stdout)."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
 ]
@@ -341,14 +378,9 @@ def _grid_scenarios(config: dict) -> list[tuple[str, SensingScenario]]:
     for key in grid:
         if key not in _SCENARIO_DEFAULTS:
             raise ConfigError(f"grid key {key!r} is not a scenario field")
-    def as_number(v):
-        try:
-            return float(v)  # YAML leaves exponent forms like "8.0e3" as strings
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid values must be numbers, got {v!r}") from exc
-
     items = [
-        (k, [as_number(v) for v in (v if isinstance(v, (list, tuple)) else [v])])
+        (k, [_as_float(v, "grid values must be numbers")
+             for v in (v if isinstance(v, (list, tuple)) else [v])])
         for k, v in sorted(grid.items())
     ]
     combos: list[dict] = [{}]

@@ -22,7 +22,6 @@ from decimal import Context, Decimal, localcontext
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .gaussian import GaussianState, omega
 from .protocol import ProtocolVariant, SensingScenario, build_receiver_inputs
@@ -51,7 +50,10 @@ class QfiResult:
 
 def gaussian_fidelity(state_a: GaussianState, state_b: GaussianState) -> float:
     """Uhlmann fidelity of two Gaussian states (at most 2 modes needed by
-    callers, but the formula is general)."""
+    callers, but the formula is general).  SciPy's linear algebra is
+    imported here, off the CLI's import path, which never calls this."""
+    import scipy.linalg as sla
+
     if state_a.n_modes != state_b.n_modes:
         raise ValueError("states must have the same number of modes")
     n = state_a.n_modes

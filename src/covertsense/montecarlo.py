@@ -65,12 +65,6 @@ def _check_clt(stats: ReceiverStats) -> None:
         )
 
 
-def check_shots(shots: int) -> None:
-    """Refuse fewer than two shots: the jackknife needs two."""
-    if shots < 2:
-        raise ValueError("need at least 2 shots")
-
-
 def simulate(
     stats: ReceiverStats,
     shots: int = DEFAULT_SHOTS,
@@ -83,7 +77,8 @@ def simulate(
     Shot j consumes the j-th normal draw of the stream keyed by
     (seed, point_index), so shots and grid points are reproducible
     independently of execution order."""
-    check_shots(shots)
+    if shots < 2:
+        raise ValueError("need at least 2 shots")
     _check_clt(stats)
     scenario = stats.scenario
     m = scenario.M

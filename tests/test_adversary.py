@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsense import adversary
 from covertsense.adversary import (
+    NS_SOLVER_CAP,
     covertness_report,
     epsilon_of,
     pe_lower_bound,
@@ -148,6 +150,109 @@ def test_tail_helpers_match_scipy_stats_bit_for_bit():
         got = [helper(*args) for args in draws]
         assert all(type(v) is np.float64 for v in got), helper.__name__
         assert [v.hex() for v in got] == [float(v).hex() for v in expected], helper.__name__
+
+
+def _outcome(call, *args, **kwargs):
+    """What a call gives: a list of (type, float.hex) for the values it
+    returns, or a (type, message) tuple for the exception it raises."""
+    try:
+        value = call(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    values = value if isinstance(value, tuple) else (value,)
+    return [(type(v), float(v).hex()) for v in values]
+
+
+def _scipy_minimize_bounded(func, x1, x2):
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(func, bounds=(x1, x2), method="bounded")
+    return res.fun, res.x
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol):
+    from scipy.optimize import brentq
+
+    return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+
+def _against_scipy(monkeypatch, name, reference):
+    """Make adversary's port `name` also run `reference` on every call it
+    gets; returns the list of (port outcome, reference outcome) pairs."""
+    port = getattr(adversary, name)
+    pairs = []
+
+    def both(*args, **kwargs):
+        pairs.append((_outcome(port, *args, **kwargs), _outcome(reference, *args, **kwargs)))
+        return port(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, name, both)
+    return pairs
+
+
+def test_minimizer_port_matches_scipy_bit_for_bit(monkeypatch):
+    # the bounded minimiser is SciPy's, ported; a port or SciPy change that
+    # moves a bit of Willie's CLT threshold or error probability fails here
+    pairs = _against_scipy(monkeypatch, "_minimize_bounded", _scipy_minimize_bounded)
+    rng = np.random.default_rng(5318)
+    size = 10_000
+    n0 = 10 ** rng.uniform(-4.0, 4.0, size)
+    n1 = n0 * (1.0 + 10 ** rng.uniform(-12.0, 1.0, size))
+    m = np.floor(10 ** rng.uniform(0.0, 10.0, size) * np.maximum(1.0, 1e6 / n1))
+    draws = [(a, b, int(k)) for a, b, k in zip(n0.tolist(), n1.tolist(), m)]
+    # mu1 one ulp above mu0, mu0 == mu1 after rounding, and bounds past
+    # the largest double
+    draws += [(1000.0, math.nextafter(1000.0, math.inf), 10**6),
+              (1023.123456789, math.nextafter(1023.123456789, math.inf), 1_000_013),
+              (1e300, 2e300, 10**9)]
+    for draw in draws:
+        try:
+            adversary._pe_threshold_gaussian(*draw)
+        except ValueError:  # the non-finite bound
+            pass
+    mu = [(draw[2] * draw[0], draw[2] * draw[1]) for draw in draws[-3:]]
+    assert mu[0][1] == math.nextafter(mu[0][0], math.inf)
+    assert mu[1][0] == mu[1][1]
+    assert mu[2][1] == math.inf
+    # the wrapper's bound checks, called directly
+    for x1, x2 in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.inf), (1.0, 1.0)):
+        _outcome(adversary._minimize_bounded, abs, x1, x2)
+    assert len(pairs) == size + 7
+    assert sum(isinstance(got, tuple) for got, _ in pairs) == 4  # the raising cases
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+def test_root_finder_port_matches_scipy_bit_for_bit(monkeypatch):
+    # solve_ns_for_epsilon's root finder is SciPy's brentq, ported
+    pairs = _against_scipy(monkeypatch, "_brentq", _scipy_brentq)
+    rng = np.random.default_rng(9127)
+    size = 10_000
+    # log10 N_B, log10 T, kappa_T, kappa_E, log10 W and log10 of the target
+    draws = rng.uniform((-3.0, -6.0, 0.01, 0.01, 8.0, -6.0), (5.0, -2.0, 1.0, 1.0, 10.0, -1.0),
+                        (size, 6))
+    solved = [
+        _outcome(solve_ns_for_epsilon, 10**e,
+                 SensingScenario(N_B=10**nb, T=10**t, kappa_T=kt, kappa_E=ke, W=10**w))
+        for nb, t, kt, ke, w, e in draws.tolist()
+    ]
+    unreachable = sum(isinstance(out, tuple) for out in solved)
+    assert 100 < unreachable < size // 2  # raised before any root search
+    assert len(pairs) == size - unreachable
+    # a target that makes the gap NaN, and one whose root is the bracket's end
+    sc = SensingScenario()
+    at_cap = epsilon_of(sc.with_(N_S=NS_SOLVER_CAP))
+    assert solve_ns_for_epsilon(at_cap, sc) == NS_SOLVER_CAP
+    _outcome(solve_ns_for_epsilon, math.nan, sc)
+    nan_message = "The function value at x=0.0 is NaN; solver cannot continue."
+    assert pairs[-1][0] == (ValueError, nan_message)
+    # a same-sign bracket, a root at the lower end, and a step whose root
+    # bisection cannot reach in 100 iterations
+    for f, xa, xb in ((lambda x: x * x + 1.0, -1.0, 1.0), (lambda x: x - 2.0, 2.0, 5.0),
+                      (lambda x: 1.0 if x > 1e-200 else -1.0, 0.0, NS_SOLVER_CAP)):
+        _outcome(adversary._brentq, f, xa, xb, 1e-300, 1e-12)
+    assert [got[0] for got, _ in pairs[-3:]] == [ValueError, (float, "0x1.0000000000000p+1"),
+                                                 RuntimeError]
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
 
 
 def test_pe_gaussian_approx_agrees_near_switchover():

@@ -217,6 +217,50 @@ def test_config_value_shape_comes_from_defaults(command, setting, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("sweep", "shots=abc", "shots"),
+        ("sweep", "shots=1", "shots"),
+        ("sweep", "shots=true", "shots"),
+        ("sweep", "shots=1e3", "shots"),
+        ("sweep", "seed=abc", "seed"),
+        ("sweep", "seed=-1", "seed"),
+        ("sweep", f"seed={2**64}", "seed"),
+        ("sweep", "compute_qcrb=maybe", "compute_qcrb"),
+        ("sweep", "compute_qcrb=1", "compute_qcrb"),
+        ("covertness", "scenario.N_S=abc", "scenario.N_S"),
+        ("covertness", "scenario.N_S=true", "scenario.N_S"),
+        ("fig4", "epsilon=[2e-4]", "epsilon"),
+    ],
+)
+def test_config_scalar_type_comes_from_defaults(command, setting, key):
+    res = CliRunner().invoke(main, [command, "--set", setting])
+    assert res.exit_code == 2
+    assert f"Error: {key} must be" in res.output
+
+
+def test_fig4_epsilon_in_exponent_form_matches_default(tmp_path):
+    # YAML 1.1 loads 2e-4 (no dot) as a string; a float key parses it
+    outs = []
+    for extra in ([], ["--set", "epsilon=2e-4"]):
+        out = tmp_path / f"f{len(extra)}.csv"
+        assert run(["fig4", *FAST, *extra, "--out", str(out)]).exit_code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_covertness_scenario_value_in_exponent_form(tmp_path):
+    outs = []
+    for value in ("1e-3", "0.001"):
+        out = tmp_path / f"{value}.csv"
+        res = run(["covertness", "--set", f"scenario.N_S={value}", "--out", str(out)])
+        assert res.exit_code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert '"N_S": 0.001' in outs[0].decode()
+
+
 def test_fig5_has_schedule_columns(tmp_path):
     res = run(["fig5", *FAST, "--set", "t_grid=[0.0625,4.0]",
                "--set", 'variants=["entangled"]', "--out", str(tmp_path / "f5.csv")])
@@ -254,15 +298,36 @@ def _package_env():
 
 def test_cli_import_leaves_out_scipy_stats():
     # every CLI process pays for what the package imports; the counting test
-    # needs scipy.special ufuncs only, and mpmath is a test-only reference
+    # needs scipy.special ufuncs only, its optimisers are ported, and mpmath
+    # is a test-only reference
     code = (
         "import sys, covertsense; package = 'mpmath' in sys.modules; "
         "import covertsense.cli; "
-        "print('scipy.stats' in sys.modules, package, 'mpmath' in sys.modules)"
+        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg')), "
+        "package, 'mpmath' in sys.modules); "
+        "import covertsense.fock; print('scipy.optimize' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False", "False"]
+    assert out.split() == ["False"] * 6
+
+
+def test_figure_commands_import_no_scipy_module_while_running(tmp_path):
+    # start-up cost must not move into the run: fig4 reaches the root
+    # finder and fig5 Willie's CLT test
+    code = (
+        "import sys; from covertsense.cli import main; before = set(sys.modules)\n"
+        "for command in ('fig4', 'fig5'):\n"
+        "    try:\n"
+        "        main([command, '--out', sys.argv[1] + command + '.csv'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path) + "/"], env=_package_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["[]"]
+    assert (tmp_path / "fig5.csv").read_text().count("gaussian_approx") > 0
 
 
 def test_montecarlo_import_leaves_out_metrology():

@@ -19,7 +19,10 @@ time, one at N_B = 1e308, where the eigensolver fails on a non-finite
 slice, and one at kappa_T = kappa_E = 1e-200, where the thermal-loss gate
 rejects kappa = 0.0 next to a point with a zero calibration; and a
 ``sweep`` over theta = 0, pi and 1 written as JSON, where sin(theta) = 0
-makes the delta-method ``theory_mse`` infinite) is also run from each
+makes the delta-method ``theory_mse`` infinite; and ``fig4``'s
+fixed-covertness regime at epsilon = 0.01 over N_B from 0.1 to 1e5, whose
+probe-brightness root search converges at four points and finds the
+target unreachable below the N_S cap at two) is also run from each
 tree with ``python -m covertsense.cli``.  These may fail by design, so
 each gets one SAME or DIFF line over four things: the exit code, the
 output file's bytes (or its absence), the ``FAILED ...`` lines on
@@ -53,6 +56,8 @@ EDGE_INVOCATIONS = (
     ("sweep", "--set", "grid.N_B=[1.0e+308,160]"),
     ("sweep", "--set", "grid.kappa_T=[1e-200,0.5]", "--set", "grid.kappa_E=[1e-200]"),
     ("sweep", "--set", "grid.theta=[0,3.141592653589793,1]", "--format", "json"),
+    ("fig4", "--set", "nb_grid=[0.1,2,30,400,5000,100000]", "--set", "epsilon=0.01",
+     "--set", "regimes=[fixed_covertness]"),
 )
 EDGE_PARTS = ("exit code", "output bytes", "FAILED lines", "last stderr line")
 
