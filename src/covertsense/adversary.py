@@ -13,11 +13,19 @@ is thermal with mean N_S.
 
 Willie's counting test evaluates its tail probabilities with SciPy's
 ufuncs directly: ``scipy.special._ufuncs._nbinom_sf``/``_nbinom_cdf`` for
-the exact negative-binomial count and ``scipy.special.ndtr`` for its
-Gaussian (CLT) approximation.  The four ``_nbinom_*``/``_norm_*`` helpers
-below return what SciPy's generic ``stats.nbinom``/``stats.norm`` wrappers
-return (argument checks, support edges, clipping) without their per-call
-array and mask set-up, and without importing SciPy's statistics package.
+the exact negative-binomial count and ``ndtr`` for its Gaussian (CLT)
+approximation.  All three come from the compiled ``_ufuncs`` extension,
+which ``covertsense._scipy`` loads through a bare stand-in
+``scipy.special`` package module and without running ``scipy.special``'s
+``__init__`` (over half of a CLI process's start-up); if that package is
+already imported, or the stand-in route raises ``ImportError``, it falls
+back to the plain import.  Either way these are the ufuncs that
+``scipy.special`` itself exports.
+
+The four ``_nbinom_*``/``_norm_*`` helpers below return what SciPy's
+generic ``stats.nbinom``/``stats.norm`` wrappers return (argument checks,
+support edges, clipping) without their per-call array and mask set-up,
+and without importing SciPy's statistics package.
 The public ``scipy.special.nbdtr``/``nbdtrc`` are not used: they differ
 from ``stats.nbinom`` in the last bit on most inputs.  The guard test in
 ``tests/test_adversary.py`` compares every helper bit for bit with the
@@ -42,8 +50,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import _ufuncs, ndtr
 
+from ._scipy import ufuncs as _ufuncs
 from .protocol import SensingScenario, willie_brightnesses
 
 EXACT_COUNT_LIMIT = 1e6  # expected total counts above which we switch to CLT
@@ -166,14 +174,14 @@ def _norm_sf(x: float, mu: float, s: float) -> np.float64:
     """SciPy's ``stats.norm.sf(x, mu, s)``; NaN unless s > 0."""
     if not s > 0.0:
         return np.float64(math.nan)
-    return ndtr(-((x - mu) / s))
+    return _ufuncs.ndtr(-((x - mu) / s))
 
 
 def _norm_cdf(x: float, mu: float, s: float) -> np.float64:
     """SciPy's ``stats.norm.cdf(x, mu, s)``; NaN unless s > 0."""
     if not s > 0.0:
         return np.float64(math.nan)
-    return ndtr((x - mu) / s)
+    return _ufuncs.ndtr((x - mu) / s)
 
 
 def _pe_threshold_exact(n0: float, n1: float, m: int) -> DetectionTest:
@@ -288,7 +296,7 @@ def _pe_threshold_gaussian(n0: float, n1: float, m: int) -> DetectionTest:
     """Gaussian (CLT) approximation of the threshold test, minimized over a
     continuous threshold between the two means.
 
-    The tails are ``scipy.special.ndtr`` of the standardized threshold,
+    The tails are ``ndtr`` of the standardized threshold,
     as ``stats.norm`` computes them; needs n0 > 0, since a zero spread
     would give NaN, as it does there.  The guard test in
     ``tests/test_adversary.py`` checks the helpers against ``stats.norm``."""

@@ -82,7 +82,8 @@ def _checked_value(where: str, default: Any, val: Any) -> Any:
     """val for a key whose default is default, in the default's type: a
     bool takes a bool; seed and shots take an int in their flag's range; a
     float takes an int or a float unchanged, or a numeric string as its
-    float; a list or a mapping takes one of the same shape."""
+    float; a list or a mapping takes one of the same shape, and each entry
+    of a list of floats is typed as a float key is."""
     if isinstance(default, bool):
         if not isinstance(val, bool):
             raise ConfigError(f"{where} must be true or false, got {val!r}")
@@ -102,6 +103,8 @@ def _checked_value(where: str, default: Any, val: Any) -> Any:
         for shape, name in ((list, "a list"), (dict, "a mapping")):
             if isinstance(default, shape) and not isinstance(val, shape):
                 raise ConfigError(f"{where} must be {name}")
+        if isinstance(default, list) and any(isinstance(d, float) for d in default):
+            return [_checked_value(f"{where}[{i}]", 0.0, v) for i, v in enumerate(val)]
     return val
 
 

@@ -18,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gammaln
+# sla.logm imports the scipy.special package on its first call: load it with
+# this module, so an oracle process pays for it at start-up, not in its run
+import scipy.special  # noqa: F401
 
+from ._scipy import ufuncs
 from .gaussian import GaussianState, omega, photon_mean
+
+gammaln = ufuncs.gammaln
 
 MAX_TOTAL_DIM = 8000
 DEFICIT_LIMIT = 1e-6

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # at import, not in the first simulate call
 
 from .receivers import ReceiverStats, cosine_estimator
 

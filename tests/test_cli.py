@@ -232,12 +232,39 @@ def test_config_value_shape_comes_from_defaults(command, setting, message):
         ("covertness", "scenario.N_S=abc", "scenario.N_S"),
         ("covertness", "scenario.N_S=true", "scenario.N_S"),
         ("fig4", "epsilon=[2e-4]", "epsilon"),
+        ("fig3", "theta_grid=[abc]", "theta_grid[0]"),
+        ("fig3", "theta_grid=[0.5,true]", "theta_grid[1]"),
+        ("fig4", "nb_grid=[abc]", "nb_grid[0]"),
+        ("fig4", "nb_grid=[null]", "nb_grid[0]"),
+        ("fig5", "t_grid=[abc]", "t_grid[0]"),
+        ("fig5", "t_grid=[[1.0]]", "t_grid[0]"),
     ],
 )
 def test_config_scalar_type_comes_from_defaults(command, setting, key):
     res = CliRunner().invoke(main, [command, "--set", setting])
     assert res.exit_code == 2
     assert f"Error: {key} must be" in res.output
+
+
+@pytest.mark.parametrize(
+    "command, exponent_form, plain_form",
+    [
+        ("fig3", "theta_grid=[1e-1]", "theta_grid=[0.1]"),
+        ("fig4", "nb_grid=[4e2]", "nb_grid=[400.0]"),
+        ("fig5", "t_grid=[625e-4]", "t_grid=[0.0625]"),
+    ],
+)
+def test_config_list_entry_in_exponent_form_matches_plain(tmp_path, command, exponent_form,
+                                                          plain_form):
+    # YAML 1.1 loads 1e-1 (no dot) as a string; a list of floats parses it
+    outs = []
+    for i, setting in enumerate((exponent_form, plain_form)):
+        out = tmp_path / f"{i}.csv"
+        res = run([command, *FAST, "--set", setting, "--set", 'variants=["entangled"]',
+                   "--out", str(out)])
+        assert res.exit_code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_fig4_epsilon_in_exponent_form_matches_default(tmp_path):
@@ -296,6 +323,12 @@ def _package_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
+def _fresh_interpreter(code: str) -> list[str]:
+    """The words code prints when run by a new interpreter."""
+    return subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # every CLI process pays for what the package imports; the counting test
     # needs scipy.special ufuncs only, its optimisers are ported, and mpmath
@@ -307,22 +340,68 @@ def test_cli_import_leaves_out_scipy_stats():
         "package, 'mpmath' in sys.modules); "
         "import covertsense.fock; print('scipy.optimize' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["False"] * 6
+    assert _fresh_interpreter(code) == ["False"] * 6
+
+
+def test_cli_import_loads_scipy_special_ufuncs_without_the_package():
+    # the package __init__ would bring in scipy's array-API layer; a later
+    # import of the package must reuse the loaded extension
+    code = (
+        "import sys, scipy, covertsense.cli; "
+        "print(*(m in sys.modules for m in "
+        "('scipy.special', 'scipy._lib._array_api', 'scipy.special._ufuncs')), "
+        "vars(scipy).get('special') is not None); "
+        "from covertsense import adversary, fock; import scipy.special; "
+        "print(adversary._ufuncs is scipy.special._ufuncs is fock.ufuncs, "
+        "scipy.special.ndtr is adversary._ufuncs.ndtr, scipy.special.gammaln is fock.gammaln, "
+        "hasattr(scipy.special, 'logsumexp'))"
+    )
+    assert _fresh_interpreter(code) == ["False", "False", "True", "False"] + ["True"] * 4
+
+
+def test_fock_oracle_run_imports_no_scipy_special():
+    # scipy.linalg.logm, which the oracle's unitaries use, imports the
+    # scipy.special package on its first call; fock loads it at import
+    code = (
+        "import sys; from covertsense import fock; from covertsense.protocol import tmsv; "
+        "before = set(sys.modules); fock.from_gaussian(tmsv(0.01), (4, 4)); "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy.special')))"
+    )
+    assert _fresh_interpreter(code) == ["[]"]
+
+
+def test_scipy_special_imported_first_shares_the_ufuncs():
+    code = (
+        "import scipy.special, covertsense.cli; from covertsense import adversary; "
+        "print(adversary._ufuncs is scipy.special._ufuncs)"
+    )
+    assert _fresh_interpreter(code) == ["True"]
+
+
+def test_scipy_ufuncs_fall_back_to_the_package_import():
+    # a scipy whose special directory is elsewhere makes the stand-in
+    # package route raise ImportError; the plain import then loads the
+    # real package and its extension
+    code = (
+        "import os, sys, scipy; scipy.__file__ = os.path.join(os.sep, 'nonexistent', 'x.py'); "
+        "from covertsense import adversary; special = sys.modules['scipy.special']; "
+        "print(adversary._ufuncs is special._ufuncs, hasattr(special, '__file__'), "
+        "hasattr(special, 'logsumexp'))"
+    )
+    assert _fresh_interpreter(code) == ["True"] * 3
 
 
 def test_figure_commands_import_no_scipy_module_while_running(tmp_path):
-    # start-up cost must not move into the run: fig4 reaches the root
-    # finder and fig5 Willie's CLT test
+    # start-up cost must not move into the run: fig3 draws the first Monte
+    # Carlo shots, fig4 reaches the root finder and fig5 Willie's CLT test
     code = (
         "import sys; from covertsense.cli import main; before = set(sys.modules)\n"
-        "for command in ('fig4', 'fig5'):\n"
+        "for command in ('fig3', 'fig4', 'fig5', 'sweep', 'covertness'):\n"
         "    try:\n"
         "        main([command, '--out', sys.argv[1] + command + '.csv'])\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0, exc.code\n"
-        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))"
+        "print(sorted(set(sys.modules) - before))"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path) + "/"], env=_package_env(),
                          check=True, capture_output=True, text=True).stdout
@@ -341,9 +420,7 @@ def test_montecarlo_import_leaves_out_metrology():
         "import covertsense.montecarlo; "
         "print('covertsense.receivers' in sys.modules, 'covertsense.metrology' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["True", "False"]
+    assert _fresh_interpreter(code) == ["True", "False"]
 
 
 def test_qcrb_runs_without_mpmath(tmp_path):
